@@ -1,4 +1,4 @@
-.PHONY: check check-par bench bench-par bench-io bench-space bench-frontier bench-serve bench-multicore bench-hotpath bench-lsm serve-smoke chaos-smoke fault-matrix clean
+.PHONY: check check-par bench bench-par bench-io bench-space bench-frontier bench-serve bench-multicore bench-hotpath bench-lsm serve-smoke perfbench-smoke chaos-smoke fault-matrix clean
 
 check:
 	dune build @all
@@ -65,6 +65,13 @@ bench-lsm:
 serve-smoke:
 	dune build bin/pti.exe
 	scripts/serve_smoke.sh
+
+# Benchmark smoke: both workloads BENCHMARK.json lists, on the small
+# --smoke input for 2 s each. Every reply is checked against a direct
+# query; a mismatch or a failed operation exits non-zero.
+perfbench-smoke:
+	python3 perfbench/run.py --workload static-fresh --seed 1 --seconds 2 --trace 0 --smoke
+	python3 perfbench/run.py --workload static-hot --seed 1 --seconds 2 --trace 0 --smoke
 
 # Fault-injection smoke: abort/ENOSPC mid-save leave the old index
 # byte-identical; kill -9 under load + restart is absorbed by

@@ -1078,8 +1078,9 @@ let serve_cmd =
       & info [ "result-cache-mb" ] ~docv:"MIB"
           ~doc:"Byte budget of the server-side query-result cache \
                 (encoded reply bodies keyed by index/op/pattern/τ/k, \
-                single-flight herd suppression; hits are byte-identical \
-                to direct engine replies). 0 disables it; must be >= 0 \
+                admitted on a key's second sighting, single-flight herd \
+                suppression; hits are byte-identical to direct engine \
+                replies). 0 disables it; must be >= 0 \
                 (exit 2 otherwise). The cache is flushed on SIGHUP \
                 revalidation, so reloaded containers never serve stale \
                 bytes.")

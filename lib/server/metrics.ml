@@ -85,6 +85,7 @@ type t = {
   (* result-cache counters (see Result_cache) *)
   rcache_hits : int Atomic.t;
   rcache_misses : int Atomic.t;
+  rcache_bypassed : int Atomic.t;
   rcache_waits : int Atomic.t;
   rcache_invalidations : int Atomic.t;
   (* background integrity scrubber (see Segment_store.scrub) *)
@@ -126,6 +127,7 @@ let create () =
     gc_major_collections = Atomic.make 0;
     rcache_hits = Atomic.make 0;
     rcache_misses = Atomic.make 0;
+    rcache_bypassed = Atomic.make 0;
     rcache_waits = Atomic.make 0;
     rcache_invalidations = Atomic.make 0;
     scrub_passes = Atomic.make 0;
@@ -203,10 +205,12 @@ let gc_major_collections t = Atomic.get t.gc_major_collections
 
 let incr_result_cache_hit t = incr t.rcache_hits
 let incr_result_cache_miss t = incr t.rcache_misses
+let incr_result_cache_bypass t = incr t.rcache_bypassed
 let incr_result_cache_wait t = incr t.rcache_waits
 let incr_result_cache_invalidation t = incr t.rcache_invalidations
 let result_cache_hits t = Atomic.get t.rcache_hits
 let result_cache_misses t = Atomic.get t.rcache_misses
+let result_cache_bypassed t = Atomic.get t.rcache_bypassed
 let result_cache_waits t = Atomic.get t.rcache_waits
 let result_cache_invalidations t = Atomic.get t.rcache_invalidations
 
@@ -337,10 +341,11 @@ let to_json ?cache_shards ?result_cache ?corpora t ~queue_depth =
          if Float.is_nan p then 0.0 else p)));
   field false "result_cache"
     (Printf.sprintf
-       "{\"hits\":%d,\"misses\":%d,\"single_flight_waits\":%d,\
-        \"invalidations\":%d%s}"
+       "{\"hits\":%d,\"misses\":%d,\"bypassed\":%d,\
+        \"single_flight_waits\":%d,\"invalidations\":%d%s}"
        (Atomic.get t.rcache_hits)
        (Atomic.get t.rcache_misses)
+       (Atomic.get t.rcache_bypassed)
        (Atomic.get t.rcache_waits)
        (Atomic.get t.rcache_invalidations)
        (match result_cache with

@@ -81,6 +81,12 @@ val incr_result_cache_hit : t -> unit
 
 val incr_result_cache_miss : t -> unit
 
+val incr_result_cache_bypass : t -> unit
+(** A miss on a key seen for the first time: not admitted to the
+    result cache, so the reply was computed and nothing was cached or
+    encoded twice. Counted on top of the miss, so hits / (hits +
+    misses) stays the hit ratio. *)
+
 val incr_result_cache_wait : t -> unit
 (** Single-flight herd suppression: a request waited for an identical
     in-flight computation instead of duplicating it. *)
@@ -120,6 +126,7 @@ val gc_minor_collections : t -> int
 val gc_major_collections : t -> int
 val result_cache_hits : t -> int
 val result_cache_misses : t -> int
+val result_cache_bypassed : t -> int
 val result_cache_waits : t -> int
 val result_cache_invalidations : t -> int
 

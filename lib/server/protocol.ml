@@ -381,39 +381,46 @@ let encode_cached_reply_into wb ~id ~tag ~body =
       put_u32 b id;
       Wbuf.add_string b body)
 
+let get_reply_body c tag =
+  if tag = tag_hits then begin
+    let n = get_u32 c in
+    if n * 16 > c.limit - c.pos then fail "hit count out of bounds";
+    let hits = List.init n (fun _ ->
+        let key = get_i64 c in
+        let logp = get_f64 c in
+        (key, logp))
+    in
+    Hits hits
+  end
+  else if tag = tag_error then begin
+    let e = err_of_code (get_u8 c) in
+    let msg = get_str16 c in
+    Error (e, msg)
+  end
+  else if tag = tag_stats_reply then begin
+    let n = get_u32 c in
+    need c n;
+    let s = String.sub c.payload c.pos n in
+    c.pos <- c.pos + n;
+    Stats_reply s
+  end
+  else if tag = tag_pong then Pong
+  else if tag = tag_ack then Ack (get_i64 c)
+  else fail "unknown reply tag %d" tag
+
 let decode_reply payload =
   let c = { payload; pos = 0; limit = String.length payload } in
   let tag = get_u8 c in
   let id = get_u32 c in
-  let reply =
-    if tag = tag_hits then begin
-      let n = get_u32 c in
-      if n * 16 > String.length payload then fail "hit count out of bounds";
-      let hits = List.init n (fun _ ->
-          let key = get_i64 c in
-          let logp = get_f64 c in
-          (key, logp))
-      in
-      Hits hits
-    end
-    else if tag = tag_error then begin
-      let e = err_of_code (get_u8 c) in
-      let msg = get_str16 c in
-      Error (e, msg)
-    end
-    else if tag = tag_stats_reply then begin
-      let n = get_u32 c in
-      need c n;
-      let s = String.sub c.payload c.pos n in
-      c.pos <- c.pos + n;
-      Stats_reply s
-    end
-    else if tag = tag_pong then Pong
-    else if tag = tag_ack then Ack (get_i64 c)
-    else fail "unknown reply tag %d" tag
-  in
+  let reply = get_reply_body c tag in
   if c.pos <> String.length payload then fail "trailing bytes in reply";
   (id, reply)
+
+let decode_reply_body ~tag body =
+  let c = { payload = body; pos = 0; limit = String.length body } in
+  let reply = get_reply_body c tag in
+  if c.pos <> String.length body then fail "trailing bytes in reply";
+  reply
 
 (* ------------------------------------------------------------------ *)
 (* Blocking frame IO (clients; the server reads through its own

@@ -150,6 +150,10 @@ val encode_reply_body : reply -> string
 (** The payload {e after} the (tag, id) prefix — what the result cache
     stores, id-independent and shareable across requests. *)
 
+val decode_reply_body : tag:int -> string -> reply
+(** Inverse of {!encode_reply_body} for a reply of wire tag [tag]: how
+    a JSON-fallback connection reads a cached body. *)
+
 val encode_cached_reply_into : Wbuf.t -> id:int -> tag:int -> body:string -> unit
 (** Append a frame made of a fresh (tag, id) prefix and a cached body.
     For any [reply], [encode_cached_reply_into b ~id

@@ -2,13 +2,29 @@
    implementation notes here cover what the signature can't say.
 
    Sharding: key hash picks a shard; each shard is an independent
-   (mutex, hashtable, LRU list, byte budget). Contention is therefore
-   1/nshards of a global lock, and a worker holding one shard's lock
-   never blocks lookups on the others.
+   (mutex, hashtable, LRU list, doorkeeper, byte budget). Contention is
+   therefore 1/nshards of a global lock, and a worker holding one
+   shard's lock never blocks lookups on the others.
 
    LRU: an intrusive circular doubly-linked list with a sentinel. O(1)
-   touch / insert / evict — no O(n) scans, the cache may hold tens of
-   thousands of entries.
+   touch / insert / evict — no O(n) scans, the cache may hold hundreds
+   of thousands of entries.
+
+   Table: created for the most entries the shard's budget can hold
+   (every entry costs at least [min_entry_bytes]), so it never resizes.
+   A growing stdlib Hashtbl doubles and rehashes every binding in one
+   go; under the shard lock, growing past 131k/262k/524k entries stalls
+   every lookup for 71/147/305 ms, long enough to overflow the request
+   queue.
+
+   Admission (TinyLFU's doorkeeper): a table miss tests the key's two
+   bits in the shard's bitmap. Both set: the key was seen before and
+   takes the single-flight path. Otherwise they are set and the miss
+   is a [Bypass]. The bitmap has 16 bits per key of its window and is
+   cleared once [window] keys have been recorded, so a key is
+   remembered across about as many distinct keys as the shard can hold
+   entries, and a key never seen answers "seen" with probability at
+   most (1 - e^(-1/8))^2 ≈ 1.4%.
 
    Single-flight: a miss installs an [In_flight] slot before the owner
    starts computing. Later arrivals for the same key get [Busy] and may
@@ -30,7 +46,7 @@
 
 module P = Protocol
 
-type cached = { ctag : int; cbody : string; creply : P.reply }
+type cached = { ctag : int; cbody : string }
 
 type settled = Settled_cached of cached | Settled_reply of P.reply
 
@@ -40,17 +56,19 @@ type flight = {
   mutable outcome : settled option;
 }
 
-(* LRU node; [value = None] marks the per-shard sentinel. *)
+(* LRU node; the per-shard sentinel carries [no_value]. *)
 type node = {
   nkey : string;
-  value : cached option;
+  value : cached;
   size : int;
   mutable prev : node;
   mutable next : node;
 }
 
+let no_value = { ctag = 0; cbody = "" }
+
 let sentinel () =
-  let rec s = { nkey = ""; value = None; size = 0; prev = s; next = s } in
+  let rec s = { nkey = ""; value = no_value; size = 0; prev = s; next = s } in
   s
 
 let unlink n =
@@ -67,15 +85,25 @@ let push_front head n =
 
 type slot = Ready of node | In_flight of flight
 
+(* Doorkeeper: a Bloom filter with two probes over [mask + 1] bits. *)
+type doorkeeper = {
+  bits : Bytes.t;
+  mask : int;
+  window : int; (* recordings between clears *)
+  mutable recorded : int;
+}
+
 type shard = {
   m : Mutex.t;
   tbl : (string, slot) Hashtbl.t;
   head : node; (* sentinel: head.next = MRU, head.prev = LRU *)
+  door : doorkeeper;
   cap : int;
   mutable bytes : int;
   mutable entries : int;
   mutable hits : int;
   mutable misses : int;
+  mutable bypassed : int;
   mutable waits : int;
   mutable evictions : int;
 }
@@ -84,36 +112,82 @@ type t = { shards : shard array; gen : int Atomic.t }
 
 type token = { tkey : string; tflight : flight; tgen : int }
 
-type outcome = Hit of cached | Fresh of token | Busy of flight
+type outcome = Hit of cached | Fresh of token | Busy of flight | Bypass
+
+(* Heap bytes of an entry: the key and body strings (a header word, then
+   the bytes padded to a whole word with at least one pad byte), plus
+   the cached record (3 words), the LRU node (6), the [Ready] slot (2)
+   and the Hashtbl bucket cell (4). *)
+let word = Sys.word_size / 8
+let string_bytes s = word * ((String.length s / word) + 2)
+let entry_size key body = string_bytes key + string_bytes body + (word * 15)
+let min_entry_bytes = entry_size "" ""
+
+let rec pow2_above n x = if x >= n then x else pow2_above n (2 * x)
+
+let create_shard slice =
+  let max_entries = Stdlib.max 16 (slice / min_entry_bytes) in
+  (* a Hashtbl resizes past two bindings per bucket; leave room for the
+     in-flight slots on top of a full table. Asked for a power of two,
+     it allocates exactly that many buckets. *)
+  let nbuckets = pow2_above ((max_entries + (max_entries / 8)) / 2) 16 in
+  let nbits = pow2_above (16 * max_entries) 64 in
+  let door =
+    { bits = Bytes.make (nbits / 8) '\000'; mask = nbits - 1;
+      window = max_entries; recorded = 0 }
+  in
+  let fixed = (word * nbuckets) + (nbits / 8) in
+  {
+    m = Mutex.create ();
+    tbl = Hashtbl.create nbuckets;
+    head = sentinel ();
+    door;
+    cap = Stdlib.max 1 (slice - fixed);
+    bytes = 0;
+    entries = 0;
+    hits = 0;
+    misses = 0;
+    bypassed = 0;
+    waits = 0;
+    evictions = 0;
+  }
 
 let create ~capacity_bytes ?(shards = 8) () =
   if capacity_bytes <= 0 then
     invalid_arg "Result_cache.create: capacity_bytes must be positive";
   if shards < 1 then invalid_arg "Result_cache.create: shards must be >= 1";
-  let cap = Stdlib.max 1 (capacity_bytes / shards) in
   {
-    shards =
-      Array.init shards (fun _ ->
-          {
-            m = Mutex.create ();
-            tbl = Hashtbl.create 64;
-            head = sentinel ();
-            cap;
-            bytes = 0;
-            entries = 0;
-            hits = 0;
-            misses = 0;
-            waits = 0;
-            evictions = 0;
-          });
+    shards = Array.init shards (fun _ -> create_shard (capacity_bytes / shards));
     gen = Atomic.make 0;
   }
 
 let shard_of t key =
   t.shards.(Hashtbl.hash key land max_int mod Array.length t.shards)
 
-(* per-entry accounting: key + body + node/slot bookkeeping overhead *)
-let entry_size key body = String.length key + String.length body + 64
+let get_bit b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let set_bit b i =
+  let c = Char.code (Bytes.unsafe_get b (i lsr 3)) in
+  Bytes.unsafe_set b (i lsr 3) (Char.unsafe_chr (c lor (1 lsl (i land 7))))
+
+(* Test-and-set the key's two bits; true when both were already set.
+   The probes use their own seeds: the shard was chosen from
+   [Hashtbl.hash key], so its low bits are the same for every key the
+   shard sees. *)
+let seen_before d key =
+  let a = Hashtbl.seeded_hash 0x2545F491 key land d.mask in
+  let b = Hashtbl.seeded_hash 0x4F6CDD1D key land d.mask in
+  get_bit d.bits a && get_bit d.bits b
+  || begin
+       if d.recorded >= d.window then begin
+         Bytes.fill d.bits 0 (Bytes.length d.bits) '\000';
+         d.recorded <- 0
+       end;
+       set_bit d.bits a;
+       set_bit d.bits b;
+       d.recorded <- d.recorded + 1;
+       false
+     end
 
 let locked m f =
   Mutex.lock m;
@@ -128,7 +202,7 @@ let find t ?metrics key =
           push_front sh.head node;
           sh.hits <- sh.hits + 1;
           Option.iter Metrics.incr_result_cache_hit metrics;
-          Hit (Option.get node.value)
+          Hit node.value
       | Some (In_flight fl) ->
           sh.waits <- sh.waits + 1;
           Option.iter Metrics.incr_result_cache_wait metrics;
@@ -136,11 +210,18 @@ let find t ?metrics key =
       | None ->
           sh.misses <- sh.misses + 1;
           Option.iter Metrics.incr_result_cache_miss metrics;
-          let fl =
-            { fm = Mutex.create (); fc = Condition.create (); outcome = None }
-          in
-          Hashtbl.replace sh.tbl key (In_flight fl);
-          Fresh { tkey = key; tflight = fl; tgen = Atomic.get t.gen })
+          if seen_before sh.door key then begin
+            let fl =
+              { fm = Mutex.create (); fc = Condition.create (); outcome = None }
+            in
+            Hashtbl.replace sh.tbl key (In_flight fl);
+            Fresh { tkey = key; tflight = fl; tgen = Atomic.get t.gen }
+          end
+          else begin
+            sh.bypassed <- sh.bypassed + 1;
+            Option.iter Metrics.incr_result_cache_bypass metrics;
+            Bypass
+          end)
 
 let wait fl =
   Mutex.lock fl.fm;
@@ -184,7 +265,7 @@ let fill t token cached =
             let size = entry_size token.tkey cached.cbody in
             let node =
               let rec n =
-                { nkey = token.tkey; value = Some cached; size; prev = n; next = n }
+                { nkey = token.tkey; value = cached; size; prev = n; next = n }
               in
               n
             in
@@ -222,6 +303,7 @@ type stats = {
   capacity_bytes : int;
   hits : int;
   misses : int;
+  bypassed : int;
   waits : int;
   evictions : int;
 }
@@ -236,6 +318,7 @@ let stats t =
             capacity_bytes = acc.capacity_bytes + sh.cap;
             hits = acc.hits + sh.hits;
             misses = acc.misses + sh.misses;
+            bypassed = acc.bypassed + sh.bypassed;
             waits = acc.waits + sh.waits;
             evictions = acc.evictions + sh.evictions;
           }))
@@ -245,10 +328,16 @@ let stats t =
       capacity_bytes = 0;
       hits = 0;
       misses = 0;
+      bypassed = 0;
       waits = 0;
       evictions = 0;
     }
     t.shards
+
+let buckets t =
+  Array.fold_left
+    (fun acc sh -> acc + locked sh.m (fun () -> (Hashtbl.stats sh.tbl).num_buckets))
+    0 t.shards
 
 (* ------------------------------------------------------------------ *)
 (* Cache keys. Only engine queries are cacheable: Stats/Ping are

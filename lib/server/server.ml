@@ -272,8 +272,9 @@ let stats_json t =
 
 (* A reply to put on the wire: either a value to encode, or a cache
    entry whose pre-encoded body is spliced after a fresh (tag, id)
-   prefix — byte-identical to encoding [c.creply] (Protocol guarantees
-   it), with no per-hit work. *)
+   prefix — byte-identical to encoding the reply it came from (Protocol
+   guarantees it), with no per-hit work. A JSON connection decodes the
+   body back into the reply. *)
 type outcome_r = O_value of P.reply | O_cached of Result_cache.cached
 
 (* Write a batch of replies to one connection: encode them all into the
@@ -296,7 +297,9 @@ let write_outcomes t conn items =
               let reply =
                 match o with
                 | O_value r -> r
-                | O_cached c -> c.Result_cache.creply
+                | O_cached c ->
+                    P.decode_reply_body ~tag:c.Result_cache.ctag
+                      c.Result_cache.cbody
               in
               P.Wbuf.add_string b (P.reply_to_json ~id reply);
               P.Wbuf.add_string b "\n"
@@ -535,51 +538,58 @@ let run_group t key jobs =
       | replies -> replies
       | exception _ -> List.map (fun j -> (j, execute_one t j)) jobs)
 
-(* Execute [jobs] and return every (job, batched?, reply), preserving
-   the grouped batched dispatch above. *)
+(* Execute [jobs] — each paired with a value of the caller's — and
+   return every (job, value, batched?, reply), preserving the grouped
+   batched dispatch above. *)
 let run_jobs t jobs =
   match jobs with
   | [] -> []
-  | [ job ] -> [ (job, false, execute_one t job) ]
+  | [ (job, v) ] -> [ (job, v, false, execute_one t job) ]
   | _ ->
-      let groups : (group_key, job list ref) Hashtbl.t = Hashtbl.create 8 in
+      let groups : (group_key, (job * _) list ref) Hashtbl.t =
+        Hashtbl.create 8
+      in
       let order = ref [] in
       let singles = ref [] in
       List.iter
-        (fun job ->
+        (fun ((job, _) as jv) ->
           match group_key t job with
-          | None -> singles := job :: !singles
+          | None -> singles := jv :: !singles
           | Some k -> (
               match Hashtbl.find_opt groups k with
-              | Some r -> r := job :: !r
+              | Some r -> r := jv :: !r
               | None ->
-                  Hashtbl.add groups k (ref [ job ]);
+                  Hashtbl.add groups k (ref [ jv ]);
                   order := k :: !order))
         jobs;
       let out = ref [] in
+      let single (j, v) = out := (j, v, false, execute_one t j) :: !out in
       List.iter
         (fun k ->
           match List.rev !(Hashtbl.find groups k) with
-          | [ j ] -> out := (j, false, execute_one t j) :: !out
+          | [ jv ] -> single jv
           | group ->
-              List.iter
-                (fun (j, r) -> out := (j, true, r) :: !out)
-                (run_group t k group))
+              (* run_group answers in the order it is given *)
+              List.iter2
+                (fun (j, v) (_, r) -> out := (j, v, true, r) :: !out)
+                group
+                (run_group t k (List.map fst group)))
         (List.rev !order);
-      List.iter
-        (fun j -> out := (j, false, execute_one t j) :: !out)
-        (List.rev !singles);
+      List.iter single (List.rev !singles);
       List.rev !out
 
 (* Drain one batch of jobs through the result cache and the engine.
 
    Phases (the order is the deadlock discipline — see Result_cache):
-   1. look every job up without blocking. Hits are answered from cached
-      bytes; a [Fresh] token makes this worker the key's owner (same-key
-      duplicates within the batch piggyback on the owner instead of
-      re-probing, so a worker never waits on a flight it owns itself);
-      [Busy] jobs — another worker owns the computation — are deferred.
-   2. execute the owned misses (grouped/batched exactly as before) and
+   1. look every job up without blocking, computing its cache key once.
+      Hits are answered from cached bytes. A [Fresh] token makes this
+      worker the key's owner; a [Bypass] (the key's first sighting)
+      runs the job as if the cache were off. Either way the job gets a
+      claim, and same-key duplicates within the batch piggyback on it
+      instead of re-probing, so a worker never waits on a flight it
+      owns itself. [Busy] jobs — another worker owns the computation —
+      are deferred.
+   2. execute the claimed jobs (grouped/batched exactly as before) and
       settle every token: cacheable replies ([Hits], including empty
       ones — negative caching) fill the cache, errors cancel so they
       are never cached; piggybacked duplicates reuse the result.
@@ -611,6 +621,14 @@ let cache_key t op =
         | Source_corpus s -> Some (key ^ Printf.sprintf "#g%d" (Store.version s))
         | _ -> Some key)
 
+(* A cacheable key this batch executes: the token it owes the cache
+   ([None] for a bypassed first sighting, or once settled) and the
+   same-key jobs waiting on its reply. *)
+type claim = {
+  mutable ctoken : Result_cache.token option;
+  piggy : job list ref;
+}
+
 let execute_jobs t jobs =
   match jobs with
   | [] -> ()
@@ -618,71 +636,67 @@ let execute_jobs t jobs =
       let out = ref [] in
       let emit job ~batched o = out := (job, batched, o) :: !out in
       let deferred = ref [] in
-      let own : (string, Result_cache.token * job list ref) Hashtbl.t =
-        Hashtbl.create 8
-      in
+      let claims : (string, claim) Hashtbl.t = Hashtbl.create 8 in
       let exec = ref [] in
       (match t.rcache with
-      | None -> exec := List.rev jobs
+      | None -> exec := List.rev_map (fun job -> (job, None)) jobs
       | Some rc ->
           List.iter
             (fun job ->
               match cache_key t job.jop with
-              | None -> exec := job :: !exec
+              | None -> exec := (job, None) :: !exec
               | Some key -> (
-                  match Hashtbl.find_opt own key with
-                  | Some (_tok, piggy) -> piggy := job :: !piggy
+                  match Hashtbl.find_opt claims key with
+                  | Some c -> c.piggy := job :: !(c.piggy)
                   | None -> (
+                      let claim ctoken =
+                        let c = { ctoken; piggy = ref [] } in
+                        Hashtbl.add claims key c;
+                        exec := (job, Some c) :: !exec
+                      in
                       match Result_cache.find rc ~metrics:t.metrics key with
                       | Result_cache.Hit c -> emit job ~batched:false (O_cached c)
                       | Result_cache.Busy fl -> deferred := (job, fl) :: !deferred
-                      | Result_cache.Fresh tok ->
-                          Hashtbl.add own key (tok, ref []);
-                          exec := job :: !exec)))
+                      | Result_cache.Fresh tok -> claim (Some tok)
+                      | Result_cache.Bypass -> claim None)))
             jobs);
       Fun.protect
         ~finally:(fun () ->
-          match t.rcache with
-          | None -> ()
-          | Some rc ->
-              Hashtbl.iter
-                (fun _ (tok, _) ->
+          Hashtbl.iter
+            (fun _ c ->
+              match (t.rcache, c.ctoken) with
+              | Some rc, Some tok ->
                   Result_cache.cancel rc tok
-                    (P.Error (P.Server_error, "request dropped")))
-                own)
+                    (P.Error (P.Server_error, "request dropped"))
+              | _ -> ())
+            claims)
         (fun () ->
           let results = run_jobs t (List.rev !exec) in
           List.iter
-            (fun (job, batched, reply) ->
+            (fun (job, claim, batched, reply) ->
               emit job ~batched (O_value reply);
-              match t.rcache with
+              match claim with
               | None -> ()
-              | Some rc -> (
-                  match cache_key t job.jop with
-                  | None -> ()
-                  | Some key -> (
-                      match Hashtbl.find_opt own key with
-                      | None -> ()
-                      | Some (tok, piggy) ->
-                          Hashtbl.remove own key;
-                          (match reply with
-                          | P.Hits _ ->
-                              let cached =
-                                {
-                                  Result_cache.ctag = P.reply_tag reply;
-                                  cbody = P.encode_reply_body reply;
-                                  creply = reply;
-                                }
-                              in
-                              Result_cache.fill rc tok cached;
-                              List.iter
-                                (fun pj -> emit pj ~batched (O_cached cached))
-                                (List.rev !piggy)
-                          | _ ->
-                              Result_cache.cancel rc tok reply;
-                              List.iter
-                                (fun pj -> emit pj ~batched (O_value reply))
-                                (List.rev !piggy)))))
+              | Some c ->
+                  let o =
+                    match (t.rcache, c.ctoken, reply) with
+                    | Some rc, Some tok, P.Hits _ ->
+                        c.ctoken <- None;
+                        let cached =
+                          {
+                            Result_cache.ctag = P.reply_tag reply;
+                            cbody = P.encode_reply_body reply;
+                          }
+                        in
+                        Result_cache.fill rc tok cached;
+                        O_cached cached
+                    | Some rc, Some tok, _ ->
+                        c.ctoken <- None;
+                        Result_cache.cancel rc tok reply;
+                        O_value reply
+                    | _ -> O_value reply
+                  in
+                  List.iter (fun pj -> emit pj ~batched o) (List.rev !(c.piggy)))
             results);
       List.iter
         (fun (job, fl) ->

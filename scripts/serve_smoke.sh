@@ -70,15 +70,20 @@ start_server "$DIR/serve.log" --result-cache-mb 32
     --verify "$DIR/general.pti" --verify "$DIR/listing.pti" \
     --verify "$DIR/succinct.pti" --check
 
-# Replay the first run verbatim: the per-client streams are
-# deterministic, so every request is now a result-cache hit — and
-# every cached reply must still verify byte-for-byte against a direct
+# Replay the first run verbatim, twice. The per-client streams are
+# deterministic, and the result cache admits a key on its second
+# sighting: the first replay fills the cache, the second is served
+# from cached bodies. Every reply of both — the filling ones and the
+# cached hits — must still verify byte-for-byte against a direct
 # engine query.
-"$PTI" loadgen -i "$DIR/data.txt" --port "$PORT" \
-    --concurrency 8 --requests 200 --mix query=8,topk=1,listing=1 \
-    --listing-index 1 \
-    --verify "$DIR/general.pti" --verify "$DIR/listing.pti" \
-    --verify "$DIR/succinct.pti" --check
+for replay in fill hit; do
+    echo "serve-smoke: replay ($replay)"
+    "$PTI" loadgen -i "$DIR/data.txt" --port "$PORT" \
+        --concurrency 8 --requests 200 --mix query=8,topk=1,listing=1 \
+        --listing-index 1 \
+        --verify "$DIR/general.pti" --verify "$DIR/listing.pti" \
+        --verify "$DIR/succinct.pti" --check
+done
 
 # The stats dump hook (SIGUSR1) must not kill the server, and must
 # report the result cache that just served the replay.
@@ -87,6 +92,10 @@ sleep 0.3
 kill -0 "$SERVER_PID" 2>/dev/null || { echo "serve-smoke: server died on SIGUSR1" >&2; exit 1; }
 grep -q '"requests"' "$DIR/serve.log" || { echo "serve-smoke: no stats dump after SIGUSR1" >&2; cat "$DIR/serve.log" >&2; exit 1; }
 grep -q '"result_cache"' "$DIR/serve.log" || { echo "serve-smoke: no result_cache stats in dump" >&2; cat "$DIR/serve.log" >&2; exit 1; }
+# ... and that the replays hit it: a dump reporting zero hits means
+# the cached-body path went unchecked.
+grep -q '"result_cache":{"hits":[1-9]' "$DIR/serve.log" \
+    || { echo "serve-smoke: the replays never hit the result cache" >&2; cat "$DIR/serve.log" >&2; exit 1; }
 
 # Clean shutdown on SIGTERM.
 kill -TERM "$SERVER_PID"

@@ -366,6 +366,36 @@ let test_e2e_json () =
           | 99, P.Pong -> ()
           | _ -> Alcotest.fail "ping after malformed line"))
 
+let test_json_cached_hit () =
+  (* a JSON connection served from the result cache gets the same line
+     as when the reply was computed: the third sighting of a key is a
+     hit, whose cached binary body is decoded back for the JSON line *)
+  let _, _, g, _, gpath, _ = Lazy.force fixture in
+  let want = wire (G.query g ~pattern:(Sym.of_string "A") ~tau:0.3) in
+  Alcotest.(check bool) "fixture: a non-empty answer" true (want <> []);
+  with_server [ Server.Source_file gpath ] (fun srv port ->
+      with_conn port (fun fd ->
+          let line () =
+            P.write_all fd
+              (P.request_to_json
+                 {
+                   P.id = 7;
+                   op = P.Query { index = 0; pattern = "A"; tau = 0.3 };
+                 }
+              ^ "\n");
+            read_json_line fd
+          in
+          let fresh = line () in
+          let admitted = line () in
+          let m = Server.metrics srv in
+          let hits0 = Pti_server.Metrics.result_cache_hits m in
+          let hit = line () in
+          Alcotest.(check bool) "third sighting is a hit" true
+            (Pti_server.Metrics.result_cache_hits m = hits0 + 1);
+          check_hits "fresh json reply" want (snd (P.reply_of_json fresh));
+          Alcotest.(check string) "filling reply = fresh reply" fresh admitted;
+          Alcotest.(check string) "cached-hit reply = fresh reply" fresh hit))
+
 let test_json_line_cap () =
   (* a JSON connection streaming past max_json_line without a newline
      gets a typed bad_request and is dropped — the line-framed fallback
@@ -1185,7 +1215,13 @@ let test_pooled_encoding_identity () =
     P.encode_cached_reply_into b ~id ~tag:(P.reply_tag reply)
       ~body:(P.encode_reply_body reply);
     Alcotest.(check bool) "cached splice identical" true
-      (P.Wbuf.contents b = freshr)
+      (P.Wbuf.contents b = freshr);
+    (* JSON connections decode a cached body back into the reply *)
+    let body = P.encode_reply_body reply in
+    Alcotest.(check bool) "cached body decodes" true
+      (P.encode_reply_body
+         (P.decode_reply_body ~tag:(P.reply_tag reply) body)
+      = body)
   done;
   (* frames coalesced between resets (a worker writing one batch) are
      the exact concatenation of the individual fresh frames *)
@@ -1270,8 +1306,10 @@ let test_result_cache_reload_invalidation () =
                   (rpc fd
                      { P.id = i; op = P.Query { index = 0; pattern = "A"; tau = 0.5 } })
               in
-              check_hits "first answer (fills cache)" want1 (query 1);
-              check_hits "second answer (cache hit)" want1 (query 2);
+              (* a key is admitted on its second sighting *)
+              check_hits "first answer (not admitted)" want1 (query 1);
+              check_hits "second answer (fills cache)" want1 (query 2);
+              check_hits "third answer (cache hit)" want1 (query 3);
               let m = Server.metrics srv in
               Alcotest.(check bool) "the cache was actually serving" true
                 (Pti_server.Metrics.result_cache_hits m >= 1);
@@ -1282,7 +1320,7 @@ let test_result_cache_reload_invalidation () =
               Server.request_reload srv;
               Unix.sleepf 0.3;
               check_hits "post-reload answer is the new container's"
-                want2 (query 3);
+                want2 (query 4);
               Alcotest.(check bool) "invalidation counted" true
                 (Pti_server.Metrics.result_cache_invalidations m >= 1))))
 
@@ -1310,15 +1348,18 @@ let test_result_cache_open_failure () =
                          })
                   in
                   let m = Server.metrics srv in
-                  check_hits "served and cached" want (query 1);
+                  (* a key is admitted on its second sighting *)
+                  check_hits "served, not admitted" want (query 1);
+                  check_hits "served and cached" want (query 2);
+                  check_hits "served from the cache" want (query 3);
                   Alcotest.(check bool) "cache primed" true
-                    (Pti_server.Metrics.result_cache_misses m >= 1);
+                    (Pti_server.Metrics.result_cache_hits m >= 1);
                   (* every open now fails; the reload evicts the handle
                      and must flush the result cache with it *)
                   F.arm "cache.open" (F.Raise Unix.EIO) F.Always;
                   Server.request_reload srv;
                   Unix.sleepf 0.3;
-                  (match query 2 with
+                  (match query 4 with
                   | P.Error (P.Bad_index, _) -> ()
                   | P.Error (e, msg) ->
                       Alcotest.failf "expected bad_index, got %s (%s)"
@@ -1331,8 +1372,11 @@ let test_result_cache_open_failure () =
                   (* errors are never cached: with the failpoint gone
                      the same key serves correct fresh bytes, then hits *)
                   F.disarm "cache.open";
-                  check_hits "fresh bytes after heal" want (query 3);
-                  check_hits "and cached again" want (query 4)))))
+                  let hits0 = Pti_server.Metrics.result_cache_hits m in
+                  check_hits "fresh bytes after heal" want (query 5);
+                  check_hits "and cached again" want (query 6);
+                  Alcotest.(check bool) "served from the cache again" true
+                    (Pti_server.Metrics.result_cache_hits m > hits0)))))
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic corpus serving (DESIGN.md §15) *)
@@ -1470,9 +1514,12 @@ let test_corpus_mutation_invalidates_cache () =
                 | P.Hits hs -> hs
                 | _ -> Alcotest.fail "expected hits"
               in
+              (* a key is admitted on its second sighting *)
               let before = hits_of_reply (q 1) in
-              let cached = hits_of_reply (q 2) in
-              Alcotest.(check bool) "repeat identical" true (before = cached);
+              let admitted = hits_of_reply (q 2) in
+              let cached = hits_of_reply (q 5) in
+              Alcotest.(check bool) "repeats identical" true
+                (before = admitted && before = cached);
               let m = Server.metrics srv in
               Alcotest.(check bool) "cache served the repeat" true
                 (Pti_server.Metrics.result_cache_hits m >= 1);
@@ -1821,6 +1868,8 @@ let () =
             test_e2e_binary;
           Alcotest.test_case "pipelining" `Quick test_e2e_pipelining;
           Alcotest.test_case "json fallback" `Quick test_e2e_json;
+          Alcotest.test_case "json cached hit equals fresh reply" `Quick
+            test_json_cached_hit;
           Alcotest.test_case "json line cap" `Quick test_json_line_cap;
           Alcotest.test_case "loadgen verified at concurrency 8" `Quick
             test_loadgen_verified;
