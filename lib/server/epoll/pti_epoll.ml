@@ -1,16 +1,23 @@
 (* Readiness polling over raw epoll/poll stubs; see the mli. *)
 
 type backend = Epoll | Poll
+type interest = Readable | Writable
 
 external raw_available : unit -> bool = "pti_epoll_available"
 external raw_create : unit -> int = "pti_epoll_create"
-external raw_add : int -> int -> unit = "pti_epoll_add"
+
+(* [modify]: false adds, true changes the interest of a member *)
+external raw_ctl : int -> int -> bool -> bool -> unit = "pti_epoll_ctl"
 external raw_del : int -> int -> unit = "pti_epoll_del"
 
 external raw_wait : int -> int -> int -> Unix.file_descr array
   = "pti_epoll_wait_stub"
 
-external raw_poll : int array -> int -> Unix.file_descr array = "pti_poll_stub"
+external raw_poll : int array -> int array -> int -> Unix.file_descr array
+  = "pti_poll_stub"
+
+external send : Unix.file_descr -> Bytes.t -> int -> int -> int
+  = "pti_send_nonblock"
 
 let epoll_available = raw_available ()
 
@@ -25,14 +32,14 @@ type state =
       mutable closed : bool;
       (* membership mirror: keeps nfds exact and makes double-add /
          double-remove true no-ops at the OCaml layer *)
-      members : (int, unit) Hashtbl.t;
+      members : (int, interest) Hashtbl.t;
     }
   | Pl of {
-      fds : (int, unit) Hashtbl.t;
-      (* fd set snapshot handed to poll(2); rebuilt only when
-         membership changes, so a stable set costs one array per wait
-         nothing *)
-      mutable snapshot : int array option;
+      fds : (int, interest) Hashtbl.t;
+      (* (fds, interests) snapshot handed to poll(2); rebuilt only when
+         membership or an interest changes, so a stable set costs
+         nothing per wait *)
+      mutable snapshot : (int array * int array) option;
     }
 
 type t = { mutable nfds : int; st : state }
@@ -64,21 +71,37 @@ let backend t = match t.st with Ep _ -> Epoll | Pl _ -> Poll
 let backend_name t = match t.st with Ep _ -> "epoll" | Pl _ -> "poll"
 let nfds t = t.nfds
 
-let add t fd =
+let add t ?(interest = Readable) fd =
   let fd = int_of_fd fd in
   match t.st with
   | Ep e ->
       if not (Hashtbl.mem e.members fd) then begin
-        raw_add e.epfd fd;
-        Hashtbl.replace e.members fd ();
+        raw_ctl e.epfd fd (interest = Writable) false;
+        Hashtbl.replace e.members fd interest;
         t.nfds <- t.nfds + 1
       end
   | Pl p ->
       if not (Hashtbl.mem p.fds fd) then begin
-        Hashtbl.replace p.fds fd ();
+        Hashtbl.replace p.fds fd interest;
         p.snapshot <- None;
         t.nfds <- t.nfds + 1
       end
+
+let set_interest t fd interest =
+  let fd = int_of_fd fd in
+  match t.st with
+  | Ep e -> (
+      match Hashtbl.find_opt e.members fd with
+      | Some i when i <> interest ->
+          raw_ctl e.epfd fd (interest = Writable) true;
+          Hashtbl.replace e.members fd interest
+      | _ -> ())
+  | Pl p -> (
+      match Hashtbl.find_opt p.fds fd with
+      | Some i when i <> interest ->
+          Hashtbl.replace p.fds fd interest;
+          p.snapshot <- None
+      | _ -> ())
 
 let remove t fd =
   let fd = int_of_fd fd in
@@ -102,21 +125,23 @@ let wait t ~timeout_ms =
       let max_events = Stdlib.max 64 (Stdlib.min (t.nfds + 1) 4096) in
       Array.to_list (raw_wait e.epfd timeout_ms max_events)
   | Pl p ->
-      let snap =
+      let fds, writes =
         match p.snapshot with
-        | Some a -> a
+        | Some s -> s
         | None ->
-            let a = Array.make (Hashtbl.length p.fds) 0 in
+            let n = Hashtbl.length p.fds in
+            let fds = Array.make n 0 and writes = Array.make n 0 in
             let i = ref 0 in
             Hashtbl.iter
-              (fun fd () ->
-                a.(!i) <- fd;
+              (fun fd interest ->
+                fds.(!i) <- fd;
+                writes.(!i) <- (if interest = Writable then 1 else 0);
                 incr i)
               p.fds;
-            p.snapshot <- Some a;
-            a
+            p.snapshot <- Some (fds, writes);
+            (fds, writes)
       in
-      Array.to_list (raw_poll snap timeout_ms)
+      Array.to_list (raw_poll fds writes timeout_ms)
 
 let close t =
   match t.st with

@@ -88,8 +88,10 @@ val incr_result_cache_bypass : t -> unit
     misses) stays the hit ratio. *)
 
 val incr_result_cache_wait : t -> unit
-(** Single-flight herd suppression: a request waited for an identical
-    in-flight computation instead of duplicating it. *)
+(** Single-flight herd suppression: a request joined an identical
+    in-flight computation instead of duplicating it, and is answered by
+    its owner ([single_flight_waits] in the stats JSON). Nothing blocks:
+    this counts joined requests, not waiting threads. *)
 
 val incr_result_cache_invalidation : t -> unit
 (** The result cache was flushed (SIGHUP revalidate, or an engine-cache

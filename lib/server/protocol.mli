@@ -119,6 +119,10 @@ module Wbuf : sig
   val contents : t -> string
   (** Copy out the contents (allocates; the pooled write path uses
       {!write_wbuf} instead). *)
+
+  val unsafe_data : t -> Bytes.t
+  (** The backing store itself, no copy: bytes [[0, length)] are the
+      contents, valid until the next append or {!reset}. *)
 end
 
 (** {2 Binary encoding} *)
@@ -168,6 +172,9 @@ val encode_cached_reply_into : Wbuf.t -> id:int -> tag:int -> body:string -> uni
     frame. *)
 
 val write_all : Unix.file_descr -> string -> unit
+
+val write_sub : Unix.file_descr -> Bytes.t -> int -> int -> unit
+(** [write_sub fd b off len] writes [b[off, off+len)] in full. *)
 
 val write_wbuf : Unix.file_descr -> Wbuf.t -> unit
 (** Write the buffer's contents straight from its backing store —

@@ -26,35 +26,33 @@
    entries, and a key never seen answers "seen" with probability at
    most (1 - e^(-1/8))^2 ≈ 1.4%.
 
-   Single-flight: a miss installs an [In_flight] slot before the owner
-   starts computing. Later arrivals for the same key get [Busy] and may
-   {!wait} on the flight's condition variable; the owner's {!fill} (or
-   {!cancel}) settles it exactly once and broadcasts. Waiting is the
-   caller's choice and deliberately a separate call: the server's
-   workers first resolve every lookup in a batch without blocking (so
-   two workers whose batches hold each other's keys cannot deadlock —
-   a worker only waits after it has settled every flight it owns).
+   Single flight: a miss installs an [In_flight] slot before the owner
+   starts computing. A later lookup of the same key either joins the
+   flight as a waiter (the caller passed [~join]) or is told [Busy]
+   (it did not: the caller has no room to hold one more request).
+   Waiters are plain values kept on the flight record under the shard
+   lock; the owner's {!fill} or {!cancel} removes the slot and hands
+   them back exactly once, and the owner answers them. Nobody ever
+   blocks on a flight, so there is no wait graph and no deadlock
+   discipline to keep.
 
    Staleness: [gen] is bumped by {!invalidate} *before* the shards are
    cleared. A token snapshots [gen] at miss time; {!fill} inserts only
    if the snapshot is still current, so a computation that raced a
-   reload settles its waiters (they get the reply value, which is as
-   fresh as any non-cached reply that was already executing during the
-   reload) but never leaves bytes from the old container in the cache.
-   [invalidate] also removes In_flight slots, so a request arriving
-   after a reload never joins a pre-reload computation. *)
+   reload still hands back its waiters (they get the reply value, which
+   is as fresh as any non-cached reply that was already executing
+   during the reload) but never leaves bytes from the old container in
+   the cache. [invalidate] also removes In_flight slots, so a request
+   arriving after a reload never joins a pre-reload computation; the
+   waiters stay on the flight record, which the owner's token still
+   holds. *)
 
 module P = Protocol
 
 type cached = { ctag : int; cbody : string }
 
-type settled = Settled_cached of cached | Settled_reply of P.reply
-
-type flight = {
-  fm : Mutex.t;
-  fc : Condition.t;
-  mutable outcome : settled option;
-}
+(* Waiters in reverse join order; emptied when the owner settles. *)
+type 'w flight = { mutable waiters : 'w list }
 
 (* LRU node; the per-shard sentinel carries [no_value]. *)
 type node = {
@@ -83,7 +81,7 @@ let push_front head n =
   head.next.prev <- n;
   head.next <- n
 
-type slot = Ready of node | In_flight of flight
+type 'w slot = Ready of node | In_flight of 'w flight
 
 (* Doorkeeper: a Bloom filter with two probes over [mask + 1] bits. *)
 type doorkeeper = {
@@ -93,9 +91,9 @@ type doorkeeper = {
   mutable recorded : int;
 }
 
-type shard = {
+type 'w shard = {
   m : Mutex.t;
-  tbl : (string, slot) Hashtbl.t;
+  tbl : (string, 'w slot) Hashtbl.t;
   head : node; (* sentinel: head.next = MRU, head.prev = LRU *)
   door : doorkeeper;
   cap : int;
@@ -108,11 +106,11 @@ type shard = {
   mutable evictions : int;
 }
 
-type t = { shards : shard array; gen : int Atomic.t }
+type 'w t = { shards : 'w shard array; gen : int Atomic.t }
 
-type token = { tkey : string; tflight : flight; tgen : int }
+type 'w token = { tkey : string; tflight : 'w flight; tgen : int }
 
-type outcome = Hit of cached | Fresh of token | Busy of flight | Bypass
+type 'w outcome = Hit of cached | Fresh of 'w token | Joined | Busy | Bypass
 
 (* Heap bytes of an entry: the key and body strings (a header word, then
    the bytes padded to a whole word with at least one pad byte), plus
@@ -193,50 +191,49 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let find t ?metrics key =
+(* The request path: plain lock/unlock, since nothing under the lock
+   can raise, and no closure for [locked]. *)
+let find t ?metrics ?join key =
   let sh = shard_of t key in
-  locked sh.m (fun () ->
-      match Hashtbl.find_opt sh.tbl key with
-      | Some (Ready node) ->
-          unlink node;
-          push_front sh.head node;
-          sh.hits <- sh.hits + 1;
-          Option.iter Metrics.incr_result_cache_hit metrics;
-          Hit node.value
-      | Some (In_flight fl) ->
-          sh.waits <- sh.waits + 1;
-          Option.iter Metrics.incr_result_cache_wait metrics;
-          Busy fl
-      | None ->
-          sh.misses <- sh.misses + 1;
-          Option.iter Metrics.incr_result_cache_miss metrics;
-          if seen_before sh.door key then begin
-            let fl =
-              { fm = Mutex.create (); fc = Condition.create (); outcome = None }
-            in
-            Hashtbl.replace sh.tbl key (In_flight fl);
-            Fresh { tkey = key; tflight = fl; tgen = Atomic.get t.gen }
-          end
-          else begin
-            sh.bypassed <- sh.bypassed + 1;
-            Option.iter Metrics.incr_result_cache_bypass metrics;
-            Bypass
-          end)
+  Mutex.lock sh.m;
+  let r =
+    match Hashtbl.find_opt sh.tbl key with
+    | Some (Ready node) ->
+        unlink node;
+        push_front sh.head node;
+        sh.hits <- sh.hits + 1;
+        Option.iter Metrics.incr_result_cache_hit metrics;
+        Hit node.value
+    | Some (In_flight fl) -> (
+        match join with
+        | Some w ->
+            fl.waiters <- w :: fl.waiters;
+            sh.waits <- sh.waits + 1;
+            Option.iter Metrics.incr_result_cache_wait metrics;
+            Joined
+        | None -> Busy)
+    | None ->
+        sh.misses <- sh.misses + 1;
+        Option.iter Metrics.incr_result_cache_miss metrics;
+        if seen_before sh.door key then begin
+          let fl = { waiters = [] } in
+          Hashtbl.replace sh.tbl key (In_flight fl);
+          Fresh { tkey = key; tflight = fl; tgen = Atomic.get t.gen }
+        end
+        else begin
+          sh.bypassed <- sh.bypassed + 1;
+          Option.iter Metrics.incr_result_cache_bypass metrics;
+          Bypass
+        end
+  in
+  Mutex.unlock sh.m;
+  r
 
-let wait fl =
-  Mutex.lock fl.fm;
-  while fl.outcome = None do
-    Condition.wait fl.fc fl.fm
-  done;
-  let o = Option.get fl.outcome in
-  Mutex.unlock fl.fm;
-  o
-
-let settle fl o =
-  Mutex.lock fl.fm;
-  fl.outcome <- Some o;
-  Condition.broadcast fl.fc;
-  Mutex.unlock fl.fm
+(* Hand the flight's waiters back, once. Caller holds the shard lock. *)
+let take_waiters fl =
+  let ws = fl.waiters in
+  fl.waiters <- [];
+  List.rev ws
 
 (* Remove [token]'s In_flight slot if it is still the one installed —
    after an invalidate a *new* flight may own the key and must not be
@@ -276,13 +273,14 @@ let fill t token cached =
             evict_over_cap sh
         | _ -> ()
       end
-      else remove_own_flight sh token);
-  settle token.tflight (Settled_cached cached)
+      else remove_own_flight sh token;
+      take_waiters token.tflight)
 
-let cancel t token reply =
+let cancel t token =
   let sh = shard_of t token.tkey in
-  locked sh.m (fun () -> remove_own_flight sh token);
-  settle token.tflight (Settled_reply reply)
+  locked sh.m (fun () ->
+      remove_own_flight sh token;
+      take_waiters token.tflight)
 
 let invalidate ?metrics t =
   Atomic.incr t.gen;

@@ -18,11 +18,13 @@
 
     Concurrent misses on an admitted key are herd-suppressed ({e single
     flight}): the first miss returns a {!token} and owns the
-    computation; later arrivals get {!Busy} and can {!wait} for the
-    owner to {!fill} (cacheable result) or {!cancel} (error — errors
-    are never cached). Empty hit lists {e are} cached (negative
-    caching): a no-match reply is as expensive to recompute as a
-    match.
+    computation; a later lookup of the key {e joins} the flight as a
+    waiter — any value of the caller's (the server passes the
+    connection, request id, op kind and arrival time). Nobody blocks:
+    the owner's {!fill} (cacheable result) or {!cancel} (error — errors
+    are never cached) hands the waiters back, and the owner answers
+    them. Empty hit lists {e are} cached (negative caching): a no-match
+    reply is as expensive to recompute as a match.
 
     Invalidation is generational: {!invalidate} bumps a generation
     counter and clears every shard; tokens carry the generation at
@@ -30,35 +32,32 @@
     a computation racing a SIGHUP reload can never re-insert bytes
     from the pre-reload container. *)
 
-type t
+type 'w t
+(** A cache whose in-flight computations collect waiters of type ['w]. *)
 
 type cached = {
   ctag : int;  (** {!Protocol.reply_tag} of the cached reply. *)
   cbody : string;  (** {!Protocol.encode_reply_body} of the reply. *)
 }
 
-type token
+type 'w token
 (** Ownership of one in-flight computation; must be settled with
-    {!fill} or {!cancel} exactly once, or its waiters block forever. *)
+    {!fill} or {!cancel}, or its waiters are never answered. *)
 
-type flight
-(** An in-flight computation owned by someone else. *)
-
-type settled =
-  | Settled_cached of cached
-  | Settled_reply of Protocol.reply
-      (** The owner cancelled (error reply, or stale generation made
-          the result uncacheable) — serve this value directly. *)
-
-type outcome =
+type 'w outcome =
   | Hit of cached
-  | Fresh of token
-  | Busy of flight
+  | Fresh of 'w token
+  | Joined
+      (** The key was in flight and the [~join] value is now one of its
+          waiters: the owner will hand it back. *)
+  | Busy
+      (** The key was in flight and no [~join] value was given: nothing
+          was installed. *)
   | Bypass
       (** First sighting of the key: not admitted, nothing installed,
           nothing owed — compute the reply as if the cache were off. *)
 
-val create : capacity_bytes:int -> ?shards:int -> unit -> t
+val create : capacity_bytes:int -> ?shards:int -> unit -> 'w t
 (** [shards] defaults to 8; each shard gets an equal slice of the byte
     budget and its own lock. The slice pays first for the shard's
     hash table, sized here for the most entries the slice can hold so
@@ -66,26 +65,26 @@ val create : capacity_bytes:int -> ?shards:int -> unit -> t
     Raises [Invalid_argument] on a non-positive capacity or shard
     count. *)
 
-val find : t -> ?metrics:Metrics.t -> string -> outcome
+val find : 'w t -> ?metrics:Metrics.t -> ?join:'w -> string -> 'w outcome
 (** Non-blocking lookup; records hit/miss/bypass/wait in [metrics] (a
-    bypass also counts as a miss). A [Fresh] return installs the
-    in-flight slot — the caller now owes a {!fill}/{!cancel}. Callers
-    that may hold unsettled tokens must not {!wait} before settling
-    them (deadlock discipline; see the server's batch executor). *)
+    bypass also counts as a miss, a join counts as a wait). A [Fresh]
+    return installs the in-flight slot — the caller now owes a
+    {!fill}/{!cancel}. On an in-flight key, [join] decides between
+    [Joined] and [Busy]. *)
 
-val wait : flight -> settled
-(** Block until the owner settles. *)
-
-val fill : t -> token -> cached -> unit
+val fill : 'w t -> 'w token -> cached -> 'w list
 (** Insert (unless the generation moved or the slot was superseded) and
-    wake waiters with the cached entry. *)
+    hand back the flight's waiters, in join order, for the caller to
+    answer with the cached entry. A second settle of the same token
+    returns [[]]. *)
 
-val cancel : t -> token -> Protocol.reply -> unit
-(** Settle without caching: wake waiters with the reply value. *)
+val cancel : 'w t -> 'w token -> 'w list
+(** Settle without caching: remove the slot and hand back the waiters,
+    for the caller to answer with the same reply as its own request. *)
 
-val invalidate : ?metrics:Metrics.t -> t -> unit
+val invalidate : ?metrics:Metrics.t -> 'w t -> unit
 (** Flush every entry and fence in-flight computations (their fills
-    become no-ops). The doorkeepers are kept: they hold which keys are
+    insert nothing, but still hand back their waiters). The doorkeepers are kept: they hold which keys are
     asked for, not answers. Wired to SIGHUP revalidation and to
     engine-cache corrupt-open evictions; counts an invalidation in
     [metrics]. *)
@@ -100,14 +99,14 @@ type stats = {
   hits : int;
   misses : int;
   bypassed : int;  (** Misses not admitted (first sightings). *)
-  waits : int;
+  waits : int;  (** Requests that joined a flight. *)
   evictions : int;
 }
 
-val stats : t -> stats
+val stats : 'w t -> stats
 (** Aggregated over shards (takes each shard lock briefly). *)
 
-val buckets : t -> int
+val buckets : 'w t -> int
 (** Hash-table buckets over all shards: fixed at {!create}, since the
     tables never resize. Walks every table under its lock, so it is
     for tests and diagnostics, not the request path. *)

@@ -102,26 +102,50 @@ let rbuf_shrink rb =
    frames (binary) or lines (JSON) can be cut off the front; [scan] is
    the offset (relative to [rbuf.start]) up to which the input is known
    to hold no newline (JSON mode), so a client trickling bytes is not
-   rescanned quadratically; [mode] latches on the first byte. [wbuf] is
-   the pooled reply buffer: replies (a whole batch's worth when jobs of
-   one connection complete together) are encoded into it and written
-   with a single syscall, under [write_m] because several workers may
-   hold jobs of one pipelined connection. The fd is closed ONLY while
-   holding [write_m] (see [try_close]): a writer that passed its
-   [alive] check must never hold the fd across a close, or the kernel
-   could reuse the fd number and the stale reply would land in an
-   unrelated client's stream. *)
+   rescanned quadratically; [mode] latches on the first byte.
+
+   Writing. Workers encode a batch's replies for the connection into
+   the pooled [wbuf] and write them with one blocking syscall (bounded
+   by SO_SNDTIMEO), under [write_m] because several workers may hold
+   jobs of one pipelined connection. The accept loop answers some
+   requests itself (cache hits, Ping, Stats, refusals) and must never
+   block: it only [try_lock]s [write_m] and sends without waiting.
+   Bytes the socket did not take go to [pend] (under [write_m]); every
+   writer flushes [pend] before its own frames. When the loop finds
+   [write_m] busy it leaves its encoded replies in [handoff], which
+   the lock holder sends before and after it unlocks (see
+   [take_handoff] and [drain_handoff]), so no reply waits for a timer.
+
+   The fd is closed ONLY while holding [write_m] (see [try_close]): a
+   writer that passed its [alive] check must never hold the fd across a
+   close, or the kernel could reuse the fd number and the stale reply
+   would land in an unrelated client's stream.
+
+   [stalled_since] and [parked] belong to the loop: the instant [pend]
+   last became non-empty (the loop then watches the socket for
+   writability instead of reading it) and whether the fd is out of the
+   readiness set while a worker holds [write_m]. *)
 type conn = {
   fd : Unix.file_descr;
   write_m : Mutex.t;
   rbuf : rbuf;
   wbuf : P.Wbuf.t;
+  pend : rbuf;
+  handoff : string list Atomic.t;
   mutable scan : int;
   mutable json : bool option;
   mutable alive : bool;
   mutable closed : bool;
+  mutable stalled_since : float;
+  mutable parked : bool;
 }
 
+(* Where a reply goes: a request's connection, id, op kind and arrival
+   time. A request that joined the in-flight computation of its cache
+   key waits as one of these; the job owning the flight answers it. *)
+type waiter = { wconn : conn; wid : int; wkind : string; warrival : float }
+
+(* [jtoken]: the result-cache flight this job owns, until settled. *)
 type job = {
   jconn : conn;
   jid : int;
@@ -129,6 +153,15 @@ type job = {
   jkind : string;
   arrival : float;
   deadline : float;
+  mutable jtoken : waiter Result_cache.token option;
+}
+
+(* What the accept loop answered itself during one read: the inline
+   cache hits, whose latency is recorded once their bytes are sent. *)
+type inline = {
+  mutable n : int;
+  mutable kinds : string array;
+  mutable arrivals : float array;
 }
 
 type t = {
@@ -138,7 +171,12 @@ type t = {
   bound_port : int;
   queue : job Bq.t;
   cache : Engine_cache.t;
-  rcache : Result_cache.t option;
+  rcache : waiter Result_cache.t option;
+  (* requests joined to a flight; they count against [queue_cap] *)
+  joined : int Atomic.t;
+  (* the accept loop's reply buffer for the connection being read *)
+  lout : P.Wbuf.t;
+  inline : inline;
   metrics : Metrics.t;
   stop_flag : bool Atomic.t;
   dump_flag : bool Atomic.t;
@@ -195,6 +233,9 @@ let create ?(config = default_config) sources =
            (Result_cache.create
               ~capacity_bytes:(config.result_cache_mb * 1024 * 1024)
               ~shards:(Stdlib.max 1 config.workers) ()));
+    joined = Atomic.make 0;
+    lout = P.Wbuf.create 4096;
+    inline = { n = 0; kinds = Array.make 16 ""; arrivals = Array.make 16 0.0 };
     metrics = Metrics.create ();
     stop_flag = Atomic.make false;
     dump_flag = Atomic.make false;
@@ -277,11 +318,96 @@ let stats_json t =
    body back into the reply. *)
 type outcome_r = O_value of P.reply | O_cached of Result_cache.cached
 
-(* Write a batch of replies to one connection: encode them all into the
-   connection's pooled write buffer under [write_m], then write once —
-   a batched group's replies leave in a single syscall (and, with
-   TCP_NODELAY, a single segment train) instead of one write per
-   reply. *)
+let encode_outcome b conn ~id o =
+  if conn.json = Some true then begin
+    let reply =
+      match o with
+      | O_value r -> r
+      | O_cached c ->
+          P.decode_reply_body ~tag:c.Result_cache.ctag c.Result_cache.cbody
+    in
+    P.Wbuf.add_string b (P.reply_to_json ~id reply);
+    P.Wbuf.add_string b "\n"
+  end
+  else
+    match o with
+    | O_value r -> P.encode_reply_into b ~id r
+    | O_cached c ->
+        P.encode_cached_reply_into b ~id ~tag:c.Result_cache.ctag
+          ~body:c.Result_cache.cbody
+
+(* [pend] and [handoff] (see [conn]); every function below that
+   touches [pend] runs under [write_m]. *)
+let pend_add pb b off len =
+  rbuf_room pb len;
+  Bytes.blit b off pb.data (pb.start + pb.len) len;
+  pb.len <- pb.len + len
+
+let take_handoff conn =
+  match Atomic.exchange conn.handoff [] with
+  | [] -> ()
+  | l ->
+      List.iter
+        (fun s -> pend_add conn.pend (Bytes.unsafe_of_string s) 0 (String.length s))
+        (List.rev l)
+
+let pend_consume pb n =
+  pb.start <- pb.start + n;
+  pb.len <- pb.len - n;
+  rbuf_shrink pb
+
+(* A dead connection's unsent bytes go nowhere. *)
+let discard conn =
+  take_handoff conn;
+  pend_consume conn.pend conn.pend.len
+
+(* A worker's flush: blocking, like the frames that follow it. *)
+let flush_pend conn =
+  take_handoff conn;
+  let pb = conn.pend in
+  if pb.len > 0 then begin
+    P.write_sub conn.fd pb.data pb.start pb.len;
+    pend_consume pb pb.len
+  end
+
+(* The loop's send: flush what is pending, then [b[off, off+len)],
+   without ever waiting; whatever the socket refuses stays in [pend]. *)
+let send_nonblock conn b off len =
+  take_handoff conn;
+  let pb = conn.pend in
+  let full = ref false in
+  while pb.len > 0 && not !full do
+    match Pti_epoll.send conn.fd pb.data pb.start pb.len with
+    | -1 -> full := true
+    | n -> pend_consume pb n
+  done;
+  let off = ref off and len = ref len in
+  while !len > 0 && not !full do
+    match Pti_epoll.send conn.fd b !off !len with
+    | -1 -> full := true
+    | n ->
+        off := !off + n;
+        len := !len - n
+  done;
+  if !len > 0 then pend_add pb b !off !len
+
+(* Handed-off bytes are sent by whoever holds [write_m]: a holder
+   looks again after unlocking, since the loop may have handed bytes
+   off between the holder's last look and its unlock (the loop, after
+   handing off, tries the lock once more for the same reason). *)
+let rec drain_handoff conn =
+  if Atomic.get conn.handoff <> [] && Mutex.try_lock conn.write_m then begin
+    (try if conn.alive then flush_pend conn else discard conn
+     with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false);
+    Mutex.unlock conn.write_m;
+    drain_handoff conn
+  end
+
+(* Write a batch of replies to one connection from a worker: encode
+   them all into the connection's pooled write buffer under [write_m],
+   then write once — a batched group's replies leave in a single
+   syscall (and, with TCP_NODELAY, a single segment train) instead of
+   one write per reply. *)
 let write_outcomes t conn items =
   let n = List.length items in
   Mutex.lock conn.write_m;
@@ -291,27 +417,9 @@ let write_outcomes t conn items =
       if conn.alive then begin
         let b = conn.wbuf in
         P.Wbuf.reset b;
-        List.iter
-          (fun (id, o) ->
-            if conn.json = Some true then begin
-              let reply =
-                match o with
-                | O_value r -> r
-                | O_cached c ->
-                    P.decode_reply_body ~tag:c.Result_cache.ctag
-                      c.Result_cache.cbody
-              in
-              P.Wbuf.add_string b (P.reply_to_json ~id reply);
-              P.Wbuf.add_string b "\n"
-            end
-            else
-              match o with
-              | O_value r -> P.encode_reply_into b ~id r
-              | O_cached c ->
-                  P.encode_cached_reply_into b ~id ~tag:c.Result_cache.ctag
-                    ~body:c.Result_cache.cbody)
-          items;
+        List.iter (fun (id, o) -> encode_outcome b conn ~id o) items;
         try
+          flush_pend conn;
           (match Pti_fault.hit "server.reply" with
           | Some short ->
               (* injected torn reply: a prefix goes out, then the
@@ -328,16 +436,91 @@ let write_outcomes t conn items =
             Metrics.incr_dropped_replies t.metrics
           done
       end
-      else
+      else begin
+        discard conn;
         for _ = 1 to n do
           Metrics.incr_dropped_replies t.metrics
-        done)
+        done
+      end);
+  drain_handoff conn
 
-let write_reply t conn ~id reply = write_outcomes t conn [ (id, O_value reply) ]
+(* Write replies grouped by connection (physical equality; a batch
+   rarely spans more than a handful of conns), one coalesced write
+   each, in the order given. *)
+let deliver t items =
+  let conns = ref [] in
+  List.iter
+    (fun (conn, id, o) ->
+      let r =
+        match List.find_opt (fun (c, _) -> c == conn) !conns with
+        | Some (_, r) -> r
+        | None ->
+            let r = ref [] in
+            conns := (conn, r) :: !conns;
+            r
+      in
+      r := (id, o) :: !r)
+    items;
+  List.iter (fun (conn, r) -> write_outcomes t conn (List.rev !r)) (List.rev !conns)
 
-let error_reply t conn ~id err msg =
+(* Accept-loop replies: encoded into [t.lout] while the connection's
+   input is processed, sent by [loop_flush] afterwards. *)
+let loop_reply t conn ~id reply = encode_outcome t.lout conn ~id (O_value reply)
+
+let loop_error t conn ~id err msg =
   Metrics.incr_error t.metrics ~err:(P.err_to_string err);
-  write_reply t conn ~id (P.Error (err, msg))
+  loop_reply t conn ~id (P.Error (err, msg))
+
+(* Send [b[off, off+len)] from the loop if [write_m] is free; [Some
+   pending] says whether unsent bytes are left in [pend]. *)
+let loop_send conn b off len =
+  if Mutex.try_lock conn.write_m then begin
+    (try
+       if conn.alive then send_nonblock conn b off len else discard conn
+     with Unix.Unix_error _ -> conn.alive <- false);
+    let pending = conn.alive && conn.pend.len > 0 in
+    Mutex.unlock conn.write_m;
+    Some pending
+  end
+  else None
+
+(* Send what the loop encoded for [conn] during this read; [true] when
+   bytes are left pending and the loop must stop reading [conn] until
+   they are out. A busy [write_m] hands the bytes to its holder. Inline hits record
+   their latency here, decode to send. *)
+let loop_flush t conn =
+  let b = t.lout in
+  let pending =
+    if P.Wbuf.length b = 0 then false
+    else
+      match loop_send conn (P.Wbuf.unsafe_data b) 0 (P.Wbuf.length b) with
+      | Some pending -> pending
+      | None -> (
+          let s = P.Wbuf.contents b in
+          let rec push () =
+            let l = Atomic.get conn.handoff in
+            if not (Atomic.compare_and_set conn.handoff l (s :: l)) then push ()
+          in
+          push ();
+          match loop_send conn Bytes.empty 0 0 with
+          | Some p -> p
+          | None -> (
+              (* the holder sends them; if it has not yet taken an
+                 earlier hand-off, stop reading until it has, so a
+                 long write cannot pile up replies without bound *)
+              match Atomic.get conn.handoff with _ :: _ :: _ -> true | _ -> false))
+  in
+  P.Wbuf.reset b;
+  let inl = t.inline in
+  if inl.n > 0 then begin
+    let now = Unix.gettimeofday () in
+    for i = 0 to inl.n - 1 do
+      Metrics.record_latency t.metrics ~kind:inl.kinds.(i)
+        ~seconds:(now -. inl.arrivals.(i))
+    done;
+    inl.n <- 0
+  end;
+  pending
 
 (* ------------------------------------------------------------------ *)
 (* Request execution (worker side) *)
@@ -470,13 +653,13 @@ let execute_one t job =
             disk_gen mem_gen )
   | e -> P.Error (P.Server_error, Printexc.to_string e)
 
-let record_finish t ~batched job outcome =
+let record_finish t ~batched ~kind ~arrival outcome =
   (match outcome with
   | O_value (P.Error (e, _)) ->
       Metrics.incr_error t.metrics ~err:(P.err_to_string e)
-  | O_value _ | O_cached _ -> Metrics.incr_ok t.metrics ~kind:job.jkind);
-  Metrics.record_latency ~batched t.metrics ~kind:job.jkind
-    ~seconds:(Unix.gettimeofday () -. job.arrival)
+  | O_value _ | O_cached _ -> Metrics.incr_ok t.metrics ~kind);
+  Metrics.record_latency ~batched t.metrics ~kind
+    ~seconds:(Unix.gettimeofday () -. arrival)
 
 (* Batched dispatch. Threshold queries (and listing queries) against
    one index are compatible: they collapse into a single
@@ -538,67 +721,39 @@ let run_group t key jobs =
       | replies -> replies
       | exception _ -> List.map (fun j -> (j, execute_one t j)) jobs)
 
-(* Execute [jobs] — each paired with a value of the caller's — and
-   return every (job, value, batched?, reply), preserving the grouped
-   batched dispatch above. *)
+(* Execute [jobs] and return every (job, batched?, reply), preserving
+   the grouped batched dispatch above. *)
 let run_jobs t jobs =
   match jobs with
   | [] -> []
-  | [ (job, v) ] -> [ (job, v, false, execute_one t job) ]
+  | [ job ] -> [ (job, false, execute_one t job) ]
   | _ ->
-      let groups : (group_key, (job * _) list ref) Hashtbl.t =
-        Hashtbl.create 8
-      in
+      let groups : (group_key, job list ref) Hashtbl.t = Hashtbl.create 8 in
       let order = ref [] in
       let singles = ref [] in
       List.iter
-        (fun ((job, _) as jv) ->
+        (fun job ->
           match group_key t job with
-          | None -> singles := jv :: !singles
+          | None -> singles := job :: !singles
           | Some k -> (
               match Hashtbl.find_opt groups k with
-              | Some r -> r := jv :: !r
+              | Some r -> r := job :: !r
               | None ->
-                  Hashtbl.add groups k (ref [ jv ]);
+                  Hashtbl.add groups k (ref [ job ]);
                   order := k :: !order))
         jobs;
       let out = ref [] in
-      let single (j, v) = out := (j, v, false, execute_one t j) :: !out in
+      let single j = out := (j, false, execute_one t j) :: !out in
       List.iter
         (fun k ->
           match List.rev !(Hashtbl.find groups k) with
-          | [ jv ] -> single jv
+          | [ j ] -> single j
           | group ->
               (* run_group answers in the order it is given *)
-              List.iter2
-                (fun (j, v) (_, r) -> out := (j, v, true, r) :: !out)
-                group
-                (run_group t k (List.map fst group)))
+              List.iter (fun (j, r) -> out := (j, true, r) :: !out) (run_group t k group))
         (List.rev !order);
       List.iter single (List.rev !singles);
       List.rev !out
-
-(* Drain one batch of jobs through the result cache and the engine.
-
-   Phases (the order is the deadlock discipline — see Result_cache):
-   1. look every job up without blocking, computing its cache key once.
-      Hits are answered from cached bytes. A [Fresh] token makes this
-      worker the key's owner; a [Bypass] (the key's first sighting)
-      runs the job as if the cache were off. Either way the job gets a
-      claim, and same-key duplicates within the batch piggyback on it
-      instead of re-probing, so a worker never waits on a flight it
-      owns itself. [Busy] jobs — another worker owns the computation —
-      are deferred.
-   2. execute the claimed jobs (grouped/batched exactly as before) and
-      settle every token: cacheable replies ([Hits], including empty
-      ones — negative caching) fill the cache, errors cancel so they
-      are never cached; piggybacked duplicates reuse the result.
-   3. only now, owning nothing, wait on other workers' flights.
-   4. flush: replies grouped per connection go out as one coalesced
-      write each.
-
-   Tokens are settled even if execution dies mid-batch (the [finally]
-   cancels leftovers) — an unsettled token would hang its waiters. *)
 
 (* Cache key for a job. Corpus-backed indexes suffix the manifest
    version: a mutation bumps the version, making every old key
@@ -621,109 +776,67 @@ let cache_key t op =
         | Source_corpus s -> Some (key ^ Printf.sprintf "#g%d" (Store.version s))
         | _ -> Some key)
 
-(* A cacheable key this batch executes: the token it owes the cache
-   ([None] for a bypassed first sighting, or once settled) and the
-   same-key jobs waiting on its reply. *)
-type claim = {
-  mutable ctoken : Result_cache.token option;
-  piggy : job list ref;
-}
+(* Settle the flight [job] owns, if any, with its [reply]: cacheable
+   replies ([Hits], including empty ones — negative caching) fill the
+   cache, anything else cancels, so errors are never cached. Returns
+   the outcome to send and every request that gets it: the job first,
+   then the waiters that joined its flight. *)
+let settle t job reply =
+  let o, waiters =
+    match (t.rcache, job.jtoken, reply) with
+    | Some rc, Some tok, P.Hits _ ->
+        let cached =
+          { Result_cache.ctag = P.reply_tag reply; cbody = P.encode_reply_body reply }
+        in
+        (O_cached cached, Result_cache.fill rc tok cached)
+    | Some rc, Some tok, _ -> (O_value reply, Result_cache.cancel rc tok)
+    | _ -> (O_value reply, [])
+  in
+  job.jtoken <- None;
+  if waiters <> [] then
+    ignore (Atomic.fetch_and_add t.joined (-List.length waiters) : int);
+  let own =
+    { wconn = job.jconn; wid = job.jid; wkind = job.jkind; warrival = job.arrival }
+  in
+  (o, own :: waiters)
 
+(* Answer [job] (and its flight's waiters) with [reply] without running
+   it: a drain or deadline refusal, or a job a dying batch dropped. *)
+let refuse t job reply =
+  let o, dests = settle t job reply in
+  List.iter
+    (fun w -> record_finish t ~batched:false ~kind:w.wkind ~arrival:w.warrival o)
+    dests;
+  deliver t (List.map (fun w -> (w.wconn, w.wid, o)) dests)
+
+(* Drain one batch of jobs through the engine. Cache lookups already
+   happened on the accept loop: a job here either owns its key's
+   flight ([jtoken]) or runs uncached. The batch executes (grouped and
+   batched as above), every token is settled and the replies — the
+   jobs' and their waiters' — go out one coalesced write per
+   connection. Nothing here waits on another worker. A token is
+   settled even if execution dies mid-batch: the [finally] answers
+   the job and its waiters with a typed error. *)
 let execute_jobs t jobs =
-  match jobs with
-  | [] -> ()
-  | jobs ->
-      let out = ref [] in
-      let emit job ~batched o = out := (job, batched, o) :: !out in
-      let deferred = ref [] in
-      let claims : (string, claim) Hashtbl.t = Hashtbl.create 8 in
-      let exec = ref [] in
-      (match t.rcache with
-      | None -> exec := List.rev_map (fun job -> (job, None)) jobs
-      | Some rc ->
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun job ->
+          if job.jtoken <> None then
+            refuse t job (P.Error (P.Server_error, "request dropped")))
+        jobs)
+    (fun () ->
+      let items = ref [] in
+      List.iter
+        (fun (job, batched, reply) ->
+          let o, dests = settle t job reply in
           List.iter
-            (fun job ->
-              match cache_key t job.jop with
-              | None -> exec := (job, None) :: !exec
-              | Some key -> (
-                  match Hashtbl.find_opt claims key with
-                  | Some c -> c.piggy := job :: !(c.piggy)
-                  | None -> (
-                      let claim ctoken =
-                        let c = { ctoken; piggy = ref [] } in
-                        Hashtbl.add claims key c;
-                        exec := (job, Some c) :: !exec
-                      in
-                      match Result_cache.find rc ~metrics:t.metrics key with
-                      | Result_cache.Hit c -> emit job ~batched:false (O_cached c)
-                      | Result_cache.Busy fl -> deferred := (job, fl) :: !deferred
-                      | Result_cache.Fresh tok -> claim (Some tok)
-                      | Result_cache.Bypass -> claim None)))
-            jobs);
-      Fun.protect
-        ~finally:(fun () ->
-          Hashtbl.iter
-            (fun _ c ->
-              match (t.rcache, c.ctoken) with
-              | Some rc, Some tok ->
-                  Result_cache.cancel rc tok
-                    (P.Error (P.Server_error, "request dropped"))
-              | _ -> ())
-            claims)
-        (fun () ->
-          let results = run_jobs t (List.rev !exec) in
-          List.iter
-            (fun (job, claim, batched, reply) ->
-              emit job ~batched (O_value reply);
-              match claim with
-              | None -> ()
-              | Some c ->
-                  let o =
-                    match (t.rcache, c.ctoken, reply) with
-                    | Some rc, Some tok, P.Hits _ ->
-                        c.ctoken <- None;
-                        let cached =
-                          {
-                            Result_cache.ctag = P.reply_tag reply;
-                            cbody = P.encode_reply_body reply;
-                          }
-                        in
-                        Result_cache.fill rc tok cached;
-                        O_cached cached
-                    | Some rc, Some tok, _ ->
-                        c.ctoken <- None;
-                        Result_cache.cancel rc tok reply;
-                        O_value reply
-                    | _ -> O_value reply
-                  in
-                  List.iter (fun pj -> emit pj ~batched o) (List.rev !(c.piggy)))
-            results);
-      List.iter
-        (fun (job, fl) ->
-          match Result_cache.wait fl with
-          | Result_cache.Settled_cached c -> emit job ~batched:false (O_cached c)
-          | Result_cache.Settled_reply r -> emit job ~batched:false (O_value r))
-        (List.rev !deferred);
-      let items = List.rev !out in
-      List.iter (fun (job, batched, o) -> record_finish t ~batched job o) items;
-      (* group replies by connection (physical equality; a batch rarely
-         spans more than a handful of conns), one coalesced write each *)
-      let conns = ref [] in
-      List.iter
-        (fun (job, _batched, o) ->
-          let r =
-            match List.find_opt (fun (c, _) -> c == job.jconn) !conns with
-            | Some (_, r) -> r
-            | None ->
-                let r = ref [] in
-                conns := (job.jconn, r) :: !conns;
-                r
-          in
-          r := (job.jid, o) :: !r)
-        items;
-      List.iter
-        (fun (conn, r) -> write_outcomes t conn (List.rev !r))
-        (List.rev !conns)
+            (fun w ->
+              record_finish t ~batched ~kind:w.wkind ~arrival:w.warrival o;
+              items := (w.wconn, w.wid, o) :: !items)
+            dests)
+        (run_jobs t jobs);
+      deliver t (List.rev !items))
 
 let worker_loop t =
   (* flush this domain's GC deltas into the shared registry once per
@@ -742,21 +855,17 @@ let worker_loop t =
         Metrics.record_batch_size t.metrics (List.length jobs);
         let now = Unix.gettimeofday () in
         (* drain-expired and deadline-expired jobs get their typed
-           replies first, exactly as the unbatched loop answered them *)
+           replies first, exactly as the unbatched loop answered them;
+           their waiters get the same reply *)
         let runnable =
           List.filter
             (fun job ->
               if now > Atomic.get t.drain_deadline then begin
-                Metrics.incr_error t.metrics ~err:"shutting_down";
-                write_reply t job.jconn ~id:job.jid
-                  (P.Error (P.Shutting_down, "drain timeout expired"));
+                refuse t job (P.Error (P.Shutting_down, "drain timeout expired"));
                 false
               end
               else if now > job.deadline then begin
-                Metrics.incr_timeout t.metrics;
-                Metrics.record_latency t.metrics ~kind:job.jkind
-                  ~seconds:(now -. job.arrival);
-                write_reply t job.jconn ~id:job.jid
+                refuse t job
                   (P.Error
                      ( P.Timeout,
                        Printf.sprintf "deadline (%.0f ms) expired in queue"
@@ -808,42 +917,103 @@ let join_workers t =
 (* ------------------------------------------------------------------ *)
 (* Accept loop *)
 
+(* Requests queued or joined to a flight stay under [queue_cap]. *)
+let has_room t = Bq.length t.queue + Atomic.get t.joined < t.cfg.queue_cap
+
+let overloaded t conn ~id =
+  loop_error t conn ~id P.Overloaded
+    (Printf.sprintf "request queue full (cap %d)" t.cfg.queue_cap)
+
+let enqueue t conn ~id ~kind ~now op token =
+  let job =
+    {
+      jconn = conn;
+      jid = id;
+      jop = op;
+      jkind = kind;
+      arrival = now;
+      deadline = now +. (t.cfg.deadline_ms /. 1000.0);
+      jtoken = token;
+    }
+  in
+  if (Atomic.get t.joined = 0 || has_room t) && Bq.try_push t.queue job then
+    Metrics.observe_queue_depth t.metrics (Bq.length t.queue)
+  else begin
+    (* a token just taken has no waiters yet (only this loop joins),
+       but settle it all the same: nothing may keep a flight open *)
+    (match (t.rcache, token) with
+    | Some rc, Some tok -> ignore (Result_cache.cancel rc tok : waiter list)
+    | _ -> ());
+    overloaded t conn ~id
+  end
+
+let add_inline t ~kind ~arrival =
+  let inl = t.inline in
+  if inl.n = Array.length inl.kinds then begin
+    inl.kinds <- Array.append inl.kinds inl.kinds;
+    inl.arrivals <- Array.append inl.arrivals inl.arrivals
+  end;
+  inl.kinds.(inl.n) <- kind;
+  inl.arrivals.(inl.n) <- arrival;
+  inl.n <- inl.n + 1
+
+(* Where a request is answered: Stats, Ping, refusals and result-cache
+   hits right here on the accept loop (into [t.lout], sent once the
+   read's input is processed); a key in flight joins its owner, who
+   answers it; everything else is queued for a worker, carrying the
+   flight token it must settle, if the lookup gave it one. The cache
+   lookup happens here, once per request (twice to join a flight). *)
 let dispatch t conn (req : P.request) =
   let kind = P.op_kind req.op in
   Metrics.incr_received t.metrics ~kind;
   match req.op with
-  | P.Stats -> write_reply t conn ~id:req.id (P.Stats_reply (stats_json t))
+  | P.Stats -> loop_reply t conn ~id:req.id (P.Stats_reply (stats_json t))
   | P.Ping ->
       Metrics.incr_ok t.metrics ~kind;
-      write_reply t conn ~id:req.id P.Pong
+      loop_reply t conn ~id:req.id P.Pong
   | _ when Atomic.get t.stop_flag ->
       (* draining: queued work still completes, new work is refused with
          a typed reply so clients fail over instead of hanging *)
-      error_reply t conn ~id:req.id P.Shutting_down "server is draining"
-  | _ ->
+      loop_error t conn ~id:req.id P.Shutting_down "server is draining"
+  | op -> (
       let now = Unix.gettimeofday () in
-      let job =
-        {
-          jconn = conn;
-          jid = req.id;
-          jop = req.op;
-          jkind = kind;
-          arrival = now;
-          deadline = now +. (t.cfg.deadline_ms /. 1000.0);
-        }
-      in
-      if Bq.try_push t.queue job then
-        Metrics.observe_queue_depth t.metrics (Bq.length t.queue)
-      else
-        error_reply t conn ~id:req.id P.Overloaded
-          (Printf.sprintf "request queue full (cap %d)" t.cfg.queue_cap)
+      match (t.rcache, cache_key t op) with
+      | Some rc, Some key -> (
+          (* a key in flight is looked up again to join it, if there is
+             room; the flight may have settled in between, so the
+             second answer can be anything. [joined] is counted before
+             the join, so the owner's settle never sees it short. *)
+          match
+            match Result_cache.find rc ~metrics:t.metrics key with
+            | Result_cache.Busy when has_room t -> (
+                Atomic.incr t.joined;
+                match
+                  Result_cache.find rc ~metrics:t.metrics
+                    ~join:{ wconn = conn; wid = req.id; wkind = kind; warrival = now }
+                    key
+                with
+                | Result_cache.Joined -> Result_cache.Joined
+                | o ->
+                    Atomic.decr t.joined;
+                    o)
+            | o -> o
+          with
+          | Result_cache.Hit c ->
+              Metrics.incr_ok t.metrics ~kind;
+              encode_outcome t.lout conn ~id:req.id (O_cached c);
+              add_inline t ~kind ~arrival:now
+          | Result_cache.Joined -> ()
+          | Result_cache.Busy -> overloaded t conn ~id:req.id
+          | Result_cache.Fresh tok -> enqueue t conn ~id:req.id ~kind ~now op (Some tok)
+          | Result_cache.Bypass -> enqueue t conn ~id:req.id ~kind ~now op None)
+      | _ -> enqueue t conn ~id:req.id ~kind ~now op None)
 
 (* A JSON connection whose pending input holds no newline is a client
    that either streams an oversized line or never frames at all; cap it
    (binary mode is capped by [max_frame]). *)
 let json_line_overflow t conn =
   if conn.rbuf.len > t.cfg.max_json_line then begin
-    error_reply t conn ~id:0 P.Bad_request
+    loop_error t conn ~id:0 P.Bad_request
       (Printf.sprintf "line exceeds %d bytes" t.cfg.max_json_line);
     false
   end
@@ -863,7 +1033,7 @@ let rec process_binary t conn =
   else begin
     let len = Int32.to_int (Bytes.get_int32_be rb.data rb.start) land 0xffffffff in
     if len > P.max_frame then begin
-      error_reply t conn ~id:0 P.Bad_request
+      loop_error t conn ~id:0 P.Bad_request
         (Printf.sprintf "frame length %d exceeds limit" len);
       false
     end
@@ -877,7 +1047,7 @@ let rec process_binary t conn =
       | req -> dispatch t conn req
       | exception P.Protocol_error m ->
           (* frame boundary is intact: answer and continue *)
-          error_reply t conn ~id:0 P.Bad_request m);
+          loop_error t conn ~id:0 P.Bad_request m);
       rb.start <- rb.start + 4 + len;
       rb.len <- rb.len - (4 + len);
       process_binary t conn
@@ -909,7 +1079,7 @@ let rec process_json t conn =
         match P.request_of_json line with
         | req -> dispatch t conn req
         | exception P.Protocol_error m ->
-            error_reply t conn ~id:0 P.Bad_request m
+            loop_error t conn ~id:0 P.Bad_request m
       end;
       process_json t conn
 
@@ -1051,11 +1221,14 @@ let run t =
                    corpora
              done))
   in
-  (* Readiness set: level-triggered readable events, no FD_SETSIZE
-     limit (epoll on Linux, poll elsewhere — see Pti_epoll). Accepted
-     sockets stay blocking (identical read/write semantics to the old
-     select loop); only the listen fd is non-blocking so one readiness
-     event can drain the whole accept backlog. *)
+  (* Readiness set: level-triggered, no FD_SETSIZE limit (epoll on
+     Linux, poll elsewhere — see Pti_epoll). A connection is watched
+     for input, or — while it holds reply bytes its socket refused —
+     for writability only, so a client that stops reading stops being
+     read. Accepted sockets stay blocking for the workers' writes (the
+     loop's own sends never wait, whatever the socket's mode); only the
+     listen fd is non-blocking so one readiness event can drain the
+     whole accept backlog. *)
   let ep = Pti_epoll.create () in
   Unix.set_nonblock t.listen_fd;
   Pti_epoll.add ep t.listen_fd;
@@ -1066,8 +1239,13 @@ let run t =
   (* deregister from [ep] before the fd can be closed: a closed fd
      auto-leaves an epoll set, but the poll fallback would keep
      polling it (POLLNVAL) forever *)
+  let nparked = ref 0 in
   let close_conn conn =
     conn.alive <- false;
+    if conn.parked then begin
+      conn.parked <- false;
+      decr nparked
+    end;
     if Hashtbl.mem conns conn.fd then begin
       Hashtbl.remove conns conn.fd;
       Pti_epoll.remove ep conn.fd
@@ -1107,10 +1285,14 @@ let run t =
               write_m = Mutex.create ();
               rbuf = rbuf_create 4096;
               wbuf = P.Wbuf.create 1024;
+              pend = rbuf_create 0;
+              handoff = Atomic.make [];
               scan = 0;
               json = None;
               alive = true;
               closed = false;
+              stalled_since = infinity;
+              parked = false;
             }
           in
           match Pti_epoll.add ep fd with
@@ -1141,6 +1323,40 @@ let run t =
       decr budget
     done
   in
+  (* Reply bytes left pending: stop reading [conn] and wait until its
+     socket takes them (or [send_timeout_ms] passes, see [tick]). *)
+  let stall conn =
+    if conn.stalled_since = infinity then begin
+      conn.stalled_since <- Unix.gettimeofday ();
+      Pti_epoll.set_interest ep conn.fd Pti_epoll.Writable
+    end
+  in
+  let watch conn interest =
+    if conn.parked then begin
+      conn.parked <- false;
+      decr nparked;
+      Pti_epoll.add ep ~interest conn.fd
+    end
+    else Pti_epoll.set_interest ep conn.fd interest
+  in
+  (* A stalled connection is writable again (or parked, see below):
+     flush what is pending and go back to reading once it is all out.
+     When a worker holds [write_m] it flushes [pend] itself; the fd
+     leaves the readiness set meanwhile, since it would report
+     writable on every wait, and [tick] retries every millisecond. *)
+  let resume conn =
+    match loop_send conn Bytes.empty 0 0 with
+    | Some true -> watch conn Pti_epoll.Writable
+    | Some false ->
+        conn.stalled_since <- infinity;
+        watch conn Pti_epoll.Readable
+    | None ->
+        if not conn.parked then begin
+          Pti_epoll.remove ep conn.fd;
+          conn.parked <- true;
+          incr nparked
+        end
+  in
   let read_conn conn =
     (* read straight into the connection's pooled buffer — no shared
        staging copy. Small chunks while the connection only trickles
@@ -1152,15 +1368,20 @@ let run t =
     | 0 -> close_conn conn
     | n ->
         rb.len <- rb.len + n;
-        if not (process_input t conn) then close_conn conn
+        let ok = process_input t conn in
+        if loop_flush t conn then stall conn;
+        if not ok then close_conn conn
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> close_conn conn
   in
   (* One event-loop iteration, shared by the serving and draining
      phases (draining no longer watches the listen socket). *)
   let gc_flush = Metrics.gc_sampler t.metrics in
-  let tick ~listening timeout_ms =
-    gc_flush ();
+  (* SIGUSR1/SIGHUP requests. Handled after each wait, before any
+     input it reported is read: a reload requested while the loop
+     slept must not let a request that arrived meanwhile be answered
+     from the pre-reload result cache. *)
+  let handle_flags () =
     if Atomic.get t.dump_flag then begin
       Atomic.set t.dump_flag false;
       Printf.eprintf "%s\n%!" (stats_json t)
@@ -1197,13 +1418,28 @@ let run t =
           | _ -> ())
         t.sources;
       Metrics.incr_reload t.metrics
-    end;
+    end
+  in
+  let tick ~listening timeout_ms =
+    gc_flush ();
     (* sweep: close deferred fds, reap connections a worker marked dead
-       (its write failed or timed out) *)
+       (its write failed or timed out) or whose pending replies did not
+       drain within [send_timeout_ms] (the loop's counterpart of the
+       workers' SO_SNDTIMEO), retry parked connections *)
     pending := List.filter (fun conn -> not (try_close conn)) !pending;
+    let now = Unix.gettimeofday () in
+    let send_timeout = t.cfg.send_timeout_ms /. 1000.0 in
     let dead =
       Hashtbl.fold
-        (fun _ conn acc -> if conn.alive then acc else conn :: acc)
+        (fun _ conn acc ->
+          if
+            (not conn.alive)
+            || (send_timeout > 0.0 && now -. conn.stalled_since > send_timeout)
+          then conn :: acc
+          else begin
+            if conn.parked then resume conn;
+            acc
+          end)
         conns []
     in
     List.iter close_conn dead;
@@ -1212,9 +1448,15 @@ let run t =
         if listening && fd = t.listen_fd then accept_burst ()
         else
           match Hashtbl.find_opt conns fd with
-          | Some conn -> read_conn conn
+          | Some conn ->
+              if conn.stalled_since < infinity then resume conn
+              else read_conn conn
           | None -> ())
-      (Pti_epoll.wait ep ~timeout_ms)
+      (let ready =
+         Pti_epoll.wait ep ~timeout_ms:(if !nparked > 0 then 1 else timeout_ms)
+       in
+       handle_flags ();
+       ready)
   in
   while not (Atomic.get t.stop_flag) do
     tick ~listening:true 100

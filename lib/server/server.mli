@@ -2,35 +2,46 @@
 
     One accept loop (the domain that calls {!run}) multiplexes every
     connection through a {!Pti_epoll} readiness set (epoll on Linux,
-    poll elsewhere — no [FD_SETSIZE] connection ceiling), parses
-    complete frames, and hands each request — stamped with an arrival
-    time and a deadline — to a bounded {!Pti_parallel.Bqueue}. Worker
-    domains drain the queue in {e batches}
-    ({!Pti_parallel.Bqueue.pop_batch}): threshold/listing queries
-    against one index collapse into a single
+    poll elsewhere — no [FD_SETSIZE] connection ceiling) and parses
+    complete frames. It answers [Stats], [Ping], refusals and
+    result-cache hits itself, with one cache lookup per request; a
+    request whose key is being computed joins that computation and is
+    answered by the worker that owns it; everything else — stamped
+    with an arrival time and a deadline — goes to a bounded
+    {!Pti_parallel.Bqueue}. Worker domains drain the queue in
+    {e batches} ({!Pti_parallel.Bqueue.pop_batch}): threshold/listing
+    queries against one index collapse into a single
     {!Pti_core.Engine.query_batch} call, amortising dispatch, cache
     lookup and pattern-transform costs; replies are byte-for-byte
     identical to one-at-a-time dispatch (§12 gives the argument).
     Queries are pure reads of immutable engines, so workers share
     handles with no locking; the only synchronisation on the hot path is
-    the queue itself, the per-shard engine-cache mutexes, and a
-    per-connection write mutex (replies from different workers may
-    interleave on one pipelined connection).
+    the queue itself, the result-cache and engine-cache shard mutexes,
+    and a per-connection write mutex (replies from different workers
+    and the loop may interleave on one pipelined connection).
 
-    Backpressure is explicit: a full queue makes the accept loop answer
-    [Overloaded] immediately instead of buffering or hanging, and a
-    request whose deadline expires while queued is answered [Timeout] by
-    the worker that dequeues it. [Stats] and [Ping] are answered inline
-    by the accept loop so the server stays observable while saturated.
+    Backpressure is explicit: when queued requests plus requests
+    waiting on an in-flight computation reach [queue_cap], the accept
+    loop answers [Overloaded] immediately instead of buffering or
+    hanging, and a request whose deadline expires while queued is
+    answered [Timeout] by the worker that dequeues it (as are the
+    requests waiting on it). [Stats] and [Ping] are answered inline by
+    the accept loop so the server stays observable while saturated.
+
+    The accept loop never blocks on a socket or on a connection's
+    write mutex: it sends with [MSG_DONTWAIT], keeps what the socket
+    refuses pending and stops reading that connection until the bytes
+    drain, and hands its replies to the mutex holder when a worker is
+    writing.
 
     Resource bounds: per-connection input is capped ([max_frame] for
     binary frames, [max_json_line] for the JSON fallback), concurrent
     connections are capped at [max_conns] (extra accepts are shed
     immediately and counted), and replies carry a send timeout
     ([send_timeout_ms]) so a client that stops reading is dropped rather
-    than pinning a worker. A connection's fd is only ever closed under
-    its write mutex, so a reply in flight can never race a close onto a
-    reused fd number. *)
+    than pinning a worker or the loop. A connection's fd is only ever
+    closed under its write mutex, so a reply in flight can never race a
+    close onto a reused fd number. *)
 
 type source =
   | Source_file of string
@@ -45,8 +56,11 @@ type source =
           server owns mutation of the directory while it runs; SIGHUP
           additionally {!Pti_segment.Segment_store.reload}s the
           manifest to pick up external compactions. Result-cache keys
-          for corpus queries carry the store's volatile version, so
-          every mutation implicitly invalidates prior cached replies. *)
+          for corpus queries carry the store's volatile version, read
+          when the request is dispatched, so every mutation implicitly
+          invalidates prior cached replies; a read pipelined behind a
+          mutation that is not yet acknowledged may be answered from
+          the version current at its dispatch. *)
 
 type config = {
   host : string;  (** Bind address (default "127.0.0.1"). *)
@@ -63,9 +77,12 @@ type config = {
   send_timeout_ms : float;
       (** [SO_SNDTIMEO] on accepted sockets (default 5000; [0] disables).
           A client that stops reading while its socket buffer is full
-          stalls a reply writer for at most this long, after which the
-          write fails and the connection is dropped — one slow client
-          cannot pin the accept loop or the worker pool indefinitely. *)
+          stalls a worker's reply write for at most this long, after
+          which the write fails and the connection is dropped; reply
+          bytes the accept loop could not send are dropped with the
+          connection when they have not drained within the same time —
+          one slow client cannot pin the accept loop or the worker pool
+          indefinitely. *)
   drain_timeout_ms : float;
       (** How long {!stop} lets already-queued requests keep completing
           before the rest are answered [Shutting_down] (default 5000).
@@ -87,8 +104,9 @@ type config = {
           (default 64; [0] disables it). The cache stores {e encoded}
           reply bodies keyed by the full semantic identity of a query
           (index, op, pattern, τ bits, k) behind single-flight herd
-          suppression; hits are byte-identical to direct engine replies
-          and skip the engine entirely. It is flushed on SIGHUP
+          suppression; hits are byte-identical to direct engine replies,
+          are answered by the accept loop and skip the queue and the
+          engine entirely. It is flushed on SIGHUP
           revalidation and whenever the engine cache evicts a
           corrupt/unopenable container, so a reloaded container never
           serves stale bytes (DESIGN.md §14). *)

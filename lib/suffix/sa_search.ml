@@ -53,23 +53,13 @@ module type ARR = sig
 end
 
 module Make (Text : ARR) (Sa : ARR) = struct
-  (* Compare resuming at symbol [off] — the caller guarantees the first
-     [off] symbols of the suffix equal the pattern's. Returns the
-     comparison together with the number of pattern symbols matched,
-     which lower-bounds lcp(pattern, suffix). *)
-  let compare_from ~text ~pattern ~pos ~off =
-    let n = Text.length text and m = Array.length pattern in
-    let rec go off =
-      if off = m then (0, off)
-      else if pos + off >= n then (-1, off)
-      else begin
-        let c = compare (Text.get text (pos + off)) pattern.(off) in
-        if c < 0 then (-1, off) else if c > 0 then (1, off) else go (off + 1)
-      end
-    in
-    go off
+  (* One boundary search, allocation-free: every probe compares the
+     pattern with the suffix at [Sa.get sa mid], resuming at symbol
+     min(llcp, rlcp), in a loop over local refs (no closure, no result
+     tuple), and leaves the symbols matched — a lower bound on
+     lcp(pattern, suffix) — in [h].
 
-  (* Manber–Myers accelerated binary search: [llcp] ([rlcp]) lower-bounds
+     Manber–Myers accelerated binary search: [llcp] ([rlcp]) lower-bounds
      the lcp of the pattern with the suffix just outside the left (right)
      end of the live range. Any suffix inside the range sits between the
      two fences lexicographically, so its lcp with the pattern is at
@@ -77,24 +67,43 @@ module Make (Text : ARR) (Sa : ARR) = struct
      text with long repeats this drops the per-probe cost from O(m) to
      O(fresh symbols), O(m + log n) total per boundary in practice. *)
   let search_boundary ~text ~sa ~pattern ~from ~stop_le =
-    let n = Sa.length sa in
+    let n = Sa.length sa
+    and tn = Text.length text
+    and m = Array.length pattern in
     let l = ref from and r = ref n and llcp = ref 0 and rlcp = ref 0 in
     while !l < !r do
       let mid = (!l + !r) / 2 in
-      let c, h =
-        compare_from ~text ~pattern ~pos:(Sa.get sa mid)
-          ~off:(Stdlib.min !llcp !rlcp)
-      in
-      if c < 0 || (stop_le && c = 0) then begin
+      let pos = Sa.get sa mid in
+      (* c: -1 / 0 / +1 as the suffix is smaller than / prefixed by /
+         greater than the pattern *)
+      let h = ref (Stdlib.min !llcp !rlcp) and c = ref 2 in
+      while !c = 2 do
+        if !h = m then c := 0
+        else if pos + !h >= tn then c := -1
+        else begin
+          let a = Text.get text (pos + !h) and b = pattern.(!h) in
+          if a < b then c := -1 else if a > b then c := 1 else incr h
+        end
+      done;
+      if !c < 0 || (stop_le && !c = 0) then begin
         l := mid + 1;
-        llcp := h
+        llcp := !h
       end
       else begin
         r := mid;
-        rlcp := h
+        rlcp := !h
       end
     done;
     !l
+
+  (* Whether the suffix at [pos] starts with [pattern]. *)
+  let prefixed ~text ~pattern pos =
+    let tn = Text.length text and m = Array.length pattern in
+    let i = ref 0 in
+    while !i < m && pos + !i < tn && Text.get text (pos + !i) = pattern.(!i) do
+      incr i
+    done;
+    !i = m
 
   let range ~text ~sa ~pattern =
     let n = Sa.length sa in
@@ -105,11 +114,8 @@ module Make (Text : ARR) (Sa : ARR) = struct
          pattern-prefixed suffix *)
       let lo = search_boundary ~text ~sa ~pattern ~from:0 ~stop_le:false in
       let hi = search_boundary ~text ~sa ~pattern ~from:lo ~stop_le:true in
-      if lo >= hi then None
-      else begin
-        let c, _ = compare_from ~text ~pattern ~pos:(Sa.get sa lo) ~off:0 in
-        if c = 0 then Some (lo, hi - 1) else None
-      end
+      if lo < hi && prefixed ~text ~pattern (Sa.get sa lo) then Some (lo, hi - 1)
+      else None
     end
 
   let count ~text ~sa ~pattern =

@@ -2,8 +2,10 @@
    (epoll and the poll fallback) on Linux so the fallback stays honest.
    The properties tested are exactly the contract the server's accept
    loop relies on: level-triggered re-reporting until drained, EOF and
-   hang-up count as readable, add/remove idempotence, timeouts, and no
-   FD_SETSIZE ceiling (fds numbered beyond 1024 work). *)
+   hang-up count as readable, writable interest (reported while the
+   send buffer has room, silent once it is full), the non-blocking
+   send, add/remove idempotence, timeouts, and no FD_SETSIZE ceiling
+   (fds numbered beyond 1024 work). *)
 
 module Ep = Pti_epoll
 
@@ -161,6 +163,82 @@ let test_close_idempotent b name =
       Ep.close t;
       Alcotest.(check int) (name ^ ": closed set is empty") 0 (Ep.nfds t))
 
+let with_socketpair f =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () -> f a b)
+
+(* Send until the socket refuses; returns the bytes it took. *)
+let fill_socket fd =
+  let chunk = Bytes.make 65536 'x' in
+  let rec go acc =
+    match Ep.send fd chunk 0 (Bytes.length chunk) with
+    | -1 -> acc
+    | n -> go (acc + n)
+  in
+  go 0
+
+let drain_socket fd =
+  let buf = Bytes.create 65536 in
+  Unix.set_nonblock fd;
+  let rec go () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | _ -> go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  go ();
+  Unix.clear_nonblock fd
+
+let test_writable b name =
+  with_set b (fun t ->
+      with_socketpair (fun a peer ->
+          Ep.add t ~interest:Ep.Writable a;
+          Alcotest.(check bool) (name ^ ": empty send buffer is writable") true
+            (Ep.wait t ~timeout_ms:100 = [ a ]);
+          Alcotest.(check bool) (name ^ ": still writable (level)") true
+            (Ep.wait t ~timeout_ms:0 = [ a ]);
+          (* a blocking socket: the send must still return, not block *)
+          Alcotest.(check bool) (name ^ ": the socket took bytes") true
+            (fill_socket a > 0);
+          Alcotest.(check (list int)) (name ^ ": full send buffer is silent") []
+            (List.map Obj.magic (Ep.wait t ~timeout_ms:20));
+          drain_socket peer;
+          Alcotest.(check bool) (name ^ ": writable again once drained") true
+            (Ep.wait t ~timeout_ms:100 = [ a ]);
+          (* back to readable: no input, so silent; then input wakes it *)
+          Ep.set_interest t a Ep.Readable;
+          Ep.set_interest t a Ep.Readable;
+          Alcotest.(check int) (name ^ ": one member") 1 (Ep.nfds t);
+          Alcotest.(check (list int)) (name ^ ": readable interest, no input") []
+            (List.map Obj.magic (Ep.wait t ~timeout_ms:0));
+          ignore (Unix.write_substring peer "q" 0 1);
+          Alcotest.(check bool) (name ^ ": input reported") true
+            (Ep.wait t ~timeout_ms:100 = [ a ]);
+          (* interest of an absent fd: a no-op *)
+          Ep.set_interest t peer Ep.Writable;
+          Alcotest.(check int) (name ^ ": still one member") 1 (Ep.nfds t)))
+
+let test_writable_hangup b name =
+  (* a peer that hangs up must wake a writable-interest fd too, and the
+     send then fails with an error instead of killing the process *)
+  with_set b (fun t ->
+      with_socketpair (fun a peer ->
+          ignore (fill_socket a);
+          Ep.add t ~interest:Ep.Writable a;
+          Alcotest.(check (list int)) (name ^ ": full, peer alive") []
+            (List.map Obj.magic (Ep.wait t ~timeout_ms:0));
+          Unix.close peer;
+          Alcotest.(check bool) (name ^ ": hang-up reported") true
+            (Ep.wait t ~timeout_ms:100 = [ a ]);
+          match Ep.send a (Bytes.of_string "x") 0 1 with
+          | n -> Alcotest.failf "%s: send to a closed peer returned %d" name n
+          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+              ()))
+
 let test_default_backend () =
   let t = Ep.create () in
   Fun.protect
@@ -196,6 +274,10 @@ let () =
             (for_each_backend test_beyond_fd_setsize);
           Alcotest.test_case "close idempotent" `Quick
             (for_each_backend test_close_idempotent);
+          Alcotest.test_case "writable interest" `Quick
+            (for_each_backend test_writable);
+          Alcotest.test_case "hang-up wakes a writable fd" `Quick
+            (for_each_backend test_writable_hangup);
         ] );
       ( "selection",
         [ Alcotest.test_case "default backend" `Quick test_default_backend ] );

@@ -1,7 +1,7 @@
 (* Unit tests for Pti_server.Result_cache: second-sighting admission,
-   single flight, generation fencing, the byte budget, the fixed-size
-   table and doorkeeper aging. The server suite covers the cache end to
-   end. *)
+   single flight with joined waiters, generation fencing, the byte
+   budget, the fixed-size table and doorkeeper aging. The server suite
+   covers the cache end to end. *)
 
 module P = Pti_server.Protocol
 module RC = Pti_server.Result_cache
@@ -21,7 +21,8 @@ let contains haystack needle =
 let outcome_name = function
   | RC.Hit _ -> "hit"
   | RC.Fresh _ -> "fresh"
-  | RC.Busy _ -> "busy"
+  | RC.Joined -> "joined"
+  | RC.Busy -> "busy"
   | RC.Bypass -> "bypass"
 
 let expect name want got =
@@ -32,16 +33,12 @@ let fresh name = function
   | RC.Fresh tok -> tok
   | o -> Alcotest.failf "%s: expected fresh, got %s" name (outcome_name o)
 
-let busy name = function
-  | RC.Busy fl -> fl
-  | o -> Alcotest.failf "%s: expected busy, got %s" name (outcome_name o)
-
 (* Sight [k] until it is admitted (twice, unless the doorkeeper takes
    it for a key seen before) and fill it. *)
 let rec admit c k v =
   match RC.find c k with
   | RC.Bypass -> admit c k v
-  | RC.Fresh tok -> RC.fill c tok v
+  | RC.Fresh tok -> ignore (RC.fill c tok v : int list)
   | o -> Alcotest.failf "admitting %S: %s" k (outcome_name o)
 
 let test_second_sighting () =
@@ -49,7 +46,7 @@ let test_second_sighting () =
   let m = Pti_server.Metrics.create () in
   ignore (expect "first sighting bypassed" "bypass" (RC.find c ~metrics:m "q"));
   let tok = fresh "second sighting" (RC.find c ~metrics:m "q") in
-  RC.fill c tok (entry 1);
+  ignore (RC.fill c tok (entry 1) : int list);
   (match RC.find c ~metrics:m "q" with
   | RC.Hit v -> Alcotest.(check string) "third sighting hits" (body 1) v.RC.cbody
   | o -> Alcotest.failf "third sighting: %s" (outcome_name o));
@@ -65,48 +62,56 @@ let test_second_sighting () =
 let test_single_flight () =
   let c = RC.create ~capacity_bytes:(256 * kib) ~shards:1 () in
   ignore (expect "first sighting" "bypass" (RC.find c "k"));
-  let tok = fresh "owner" (RC.find c "k") in
-  let waiters =
-    List.init 3 (fun i ->
-        let fl = busy (Printf.sprintf "waiter %d" i) (RC.find c "k") in
-        Domain.spawn (fun () -> RC.wait fl))
-  in
-  RC.fill c tok (entry 7);
-  List.iter
-    (fun d ->
-      match Domain.join d with
-      | RC.Settled_cached v ->
-          Alcotest.(check string) "waiter gets the owner's bytes" (body 7) v.RC.cbody
-      | RC.Settled_reply _ -> Alcotest.fail "waiter got a cancelled reply")
-    waiters;
-  Alcotest.(check int) "waits counted" 3 (RC.stats c).RC.waits;
-  (* a cancelled flight hands its waiters the reply and caches nothing *)
+  let tok = fresh "owner" (RC.find c ~join:0 "k") in
+  for w = 1 to 3 do
+    ignore (expect (Printf.sprintf "waiter %d" w) "joined" (RC.find c ~join:w "k"))
+  done;
+  ignore (expect "no join value: busy" "busy" (RC.find c "k"));
+  Alcotest.(check (list int)) "fill hands back the waiters in join order"
+    [ 1; 2; 3 ] (RC.fill c tok (entry 7));
+  Alcotest.(check (list int)) "handed back only once" [] (RC.fill c tok (entry 8));
+  (match RC.find c "k" with
+  | RC.Hit v -> Alcotest.(check string) "the first fill is cached" (body 7) v.RC.cbody
+  | o -> Alcotest.failf "after the fill: %s" (outcome_name o));
+  Alcotest.(check int) "joins counted as waits" 3 (RC.stats c).RC.waits;
+  (* a cancelled flight hands its waiters back and caches nothing *)
   ignore (expect "first sighting" "bypass" (RC.find c "e"));
   let tok = fresh "owner" (RC.find c "e") in
-  let fl = busy "waiter" (RC.find c "e") in
-  let err = P.Error (P.Bad_request, "no") in
-  RC.cancel c tok err;
-  (match RC.wait fl with
-  | RC.Settled_reply r -> Alcotest.(check bool) "waiter gets the error" true (r = err)
-  | RC.Settled_cached _ -> Alcotest.fail "cancelled flight settled cached");
-  RC.cancel c (fresh "errors are not cached" (RC.find c "e")) err
+  ignore (expect "waiter" "joined" (RC.find c ~join:9 "e"));
+  Alcotest.(check (list int)) "cancel hands back the waiter" [ 9 ] (RC.cancel c tok);
+  Alcotest.(check (list int)) "cancel hands back only once" [] (RC.cancel c tok);
+  Alcotest.(check (list int)) "nothing to hand after a cancel" []
+    (RC.cancel c (fresh "errors are not cached" (RC.find c "e")))
+
+let test_invalidate_keeps_waiters () =
+  let c = RC.create ~capacity_bytes:(256 * kib) ~shards:1 () in
+  ignore (expect "first sighting" "bypass" (RC.find c "k"));
+  let tok = fresh "owner" (RC.find c "k") in
+  ignore (expect "waiter" "joined" (RC.find c ~join:1 "k"));
+  RC.invalidate c;
+  (* the slot is gone: a request after the flush owns a new flight
+     instead of joining the old one *)
+  let tok' = fresh "owner after the flush" (RC.find c ~join:2 "k") in
+  ignore (expect "joins the new flight" "joined" (RC.find c ~join:3 "k"));
+  Alcotest.(check (list int)) "the old owner still answers its waiter" [ 1 ]
+    (RC.cancel c tok);
+  Alcotest.(check (list int)) "the new flight keeps its own" [ 3 ]
+    (RC.fill c tok' (entry 2))
 
 let test_stale_fill_dropped () =
   let c = RC.create ~capacity_bytes:(256 * kib) ~shards:1 () in
   ignore (expect "first sighting" "bypass" (RC.find c "k"));
   let stale = fresh "owner before the reload" (RC.find c "k") in
-  let fl = busy "waiter" (RC.find c "k") in
+  ignore (expect "waiter" "joined" (RC.find c ~join:1 "k"));
   RC.invalidate c;
   (* the doorkeeper outlives the flush: the key is still admitted, and
      a request after the reload never joins the pre-reload flight *)
   let tok = fresh "owner after the reload" (RC.find c "k") in
-  RC.fill c stale (entry 1);
-  (match RC.wait fl with
-  | RC.Settled_cached v -> Alcotest.(check string) "waiter still settled" (body 1) v.RC.cbody
-  | RC.Settled_reply _ -> Alcotest.fail "stale fill cancelled its waiter");
+  Alcotest.(check (list int)) "stale fill still answers its waiter" [ 1 ]
+    (RC.fill c stale (entry 1));
   Alcotest.(check int) "stale fill not inserted" 0 (RC.stats c).RC.entries;
-  ignore (busy "new flight undisturbed" (RC.find c "k"));
-  RC.fill c tok (entry 2);
+  ignore (expect "new flight undisturbed" "busy" (RC.find c "k"));
+  Alcotest.(check (list int)) "no waiters" [] (RC.fill c tok (entry 2));
   match RC.find c "k" with
   | RC.Hit v -> Alcotest.(check string) "new generation's bytes" (body 2) v.RC.cbody
   | o -> Alcotest.failf "after the fill: %s" (outcome_name o)
@@ -165,7 +170,7 @@ let test_doorkeeper_aging () =
     | RC.Bypass -> ()
     | RC.Fresh tok ->
         incr false_seen;
-        RC.cancel c tok (P.Hits [])
+        ignore (RC.cancel c tok : int list)
     | o -> Alcotest.failf "one-off key: %s" (outcome_name o)
   done;
   Alcotest.(check bool)
@@ -174,7 +179,7 @@ let test_doorkeeper_aging () =
     (!false_seen * 100 <= 3 * n);
   (* the window has rolled over since "old" was seen: forgotten *)
   ignore (expect "aged out" "bypass" (RC.find c "old"));
-  RC.cancel c (fresh "seen again" (RC.find c "old")) (P.Hits [])
+  ignore (RC.cancel c (fresh "seen again" (RC.find c "old")) : int list)
 
 let () =
   Alcotest.run "pti_result_cache"
@@ -185,6 +190,8 @@ let () =
             test_second_sighting;
           Alcotest.test_case "single flight on an admitted key" `Quick
             test_single_flight;
+          Alcotest.test_case "invalidate keeps the owner's waiters" `Quick
+            test_invalidate_keeps_waiters;
           Alcotest.test_case "stale-generation fill dropped" `Quick
             test_stale_fill_dropped;
           Alcotest.test_case "byte budget is real heap bytes" `Quick

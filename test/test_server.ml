@@ -369,7 +369,8 @@ let test_e2e_json () =
 let test_json_cached_hit () =
   (* a JSON connection served from the result cache gets the same line
      as when the reply was computed: the third sighting of a key is a
-     hit, whose cached binary body is decoded back for the JSON line *)
+     hit, answered inline by the accept loop, whose cached binary body
+     is decoded back for the JSON line *)
   let _, _, g, _, gpath, _ = Lazy.force fixture in
   let want = wire (G.query g ~pattern:(Sym.of_string "A") ~tau:0.3) in
   Alcotest.(check bool) "fixture: a non-empty answer" true (want <> []);
@@ -586,6 +587,278 @@ let read_until_close fd =
     | exception Unix.Unix_error _ -> got
   in
   go ()
+
+(* ------------------------------------------------------------------ *)
+(* Result-cache hits answered on the accept loop *)
+
+let query_a = P.Query { index = 0; pattern = "A"; tau = 0.3 }
+
+(* Sight [op] three times over [fd]: a bypass, a fill, then a hit. *)
+let warm fd op =
+  for i = 1 to 3 do
+    match rpc fd { P.id = 9000 + i; op } with
+    | _, P.Hits _ -> ()
+    | _ -> Alcotest.fail "warm-up query failed"
+  done
+
+(* A cached read with a fat answer, and [n] pipelined copies of it
+   whose replies overflow any socket buffer. *)
+let hot_op = P.Query { index = 0; pattern = "A"; tau = tau_min }
+
+let overflowing_hits g =
+  let hits = wire (G.query g ~pattern:(Sym.of_string "A") ~tau:tau_min) in
+  let reply_bytes = String.length (P.encode_reply ~id:0 (P.Hits hits)) in
+  let n = (16 * 1024 * 1024 / reply_bytes) + 1 in
+  let buf = Buffer.create (n * 32) in
+  for i = 1 to n do
+    Buffer.add_string buf (P.encode_request { P.id = i; op = hot_op })
+  done;
+  (n, reply_bytes, buf)
+
+let test_hit_while_worker_busy () =
+  (* the only worker sleeps in a Slow op; a cached hit, on a binary and
+     on a JSON connection, is still answered at once, by the loop, and
+     the JSON line is the fresh reply's *)
+  let _, _, g, _, _, _ = Lazy.force fixture in
+  let want = wire (G.query g ~pattern:(Sym.of_string "A") ~tau:0.3) in
+  let config =
+    { (base_config 1) with debug_slow = true; deadline_ms = 30_000.0 }
+  in
+  with_server ~config [ Server.Source_general g ] (fun srv port ->
+      with_conn port (fun jfd ->
+          let json_line id =
+            P.write_all jfd (P.request_to_json { P.id; op = query_a } ^ "\n");
+            read_json_line jfd
+          in
+          let fresh = json_line 1 in
+          check_hits "fresh json reply" want (snd (P.reply_of_json fresh));
+          ignore (json_line 1 : string);
+          with_conn port (fun fd ->
+              P.write_all fd (P.encode_request { P.id = 0; op = P.Slow 600 });
+              Unix.sleepf 0.05;
+              let m = Server.metrics srv in
+              let hits0 = Pti_server.Metrics.result_cache_hits m in
+              let t0 = Unix.gettimeofday () in
+              let _, reply = rpc fd { P.id = 1; op = query_a } in
+              let hit = json_line 1 in
+              let took = Unix.gettimeofday () -. t0 in
+              check_hits "binary hit" want reply;
+              Alcotest.(check string) "inline json hit = fresh reply" fresh hit;
+              Alcotest.(check int) "both were cache hits" (hits0 + 2)
+                (Pti_server.Metrics.result_cache_hits m);
+              Alcotest.(check bool)
+                (Printf.sprintf "answered before the slow op (%.0f ms)"
+                   (took *. 1e3))
+                true (took < 0.3);
+              (* the loop handles jfd's input in order, so once this
+                 ping is answered the hits' latencies are recorded: all
+                 four queries are in the histogram, not just the two
+                 the worker answered *)
+              P.write_all jfd (P.request_to_json { P.id = 3; op = P.Ping } ^ "\n");
+              ignore (read_json_line jfd : string);
+              Alcotest.(check bool) "inline hits timed" true
+                (contains (Server.stats_json srv) "\"query\":{\"count\":4,");
+              match P.read_frame fd with
+              | Some payload -> (
+                  match P.decode_reply payload with
+                  | 0, P.Pong -> ()
+                  | _ -> Alcotest.fail "slow op reply")
+              | None -> Alcotest.fail "slow op lost")))
+
+let test_slow_reader_isolated () =
+  (* a client pipelines cached hits and never reads: the loop's sends
+     never wait on it, so another connection's hit and Ping come back
+     promptly, and the stalled client is dropped once its replies have
+     not drained for send_timeout_ms *)
+  let _, _, g, _, _, _ = Lazy.force fixture in
+  let op = hot_op in
+  let config =
+    { (base_config 1) with queue_cap = 64; send_timeout_ms = 300.0 }
+  in
+  with_server ~config [ Server.Source_general g ] (fun _srv port ->
+      with_conn port (fun fd ->
+          warm fd op;
+          let slow = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close slow with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.setsockopt_int slow Unix.SO_RCVBUF 4096;
+              Unix.connect slow (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+              let n, reply_bytes, buf = overflowing_hits g in
+              (* the server stops reading this client once its replies
+                 back up, so the requests may not all fit in the socket
+                 buffers: write them from another domain, which sees
+                 the connection close under it *)
+              let reqs = Buffer.contents buf in
+              let writer =
+                Domain.spawn (fun () ->
+                    try P.write_all slow reqs with Unix.Unix_error _ -> ())
+              in
+              Unix.sleepf 0.05;
+              let worst = ref 0.0 in
+              for i = 1 to 5 do
+                let t0 = Unix.gettimeofday () in
+                (match rpc fd { P.id = i; op } with
+                | _, P.Hits _ -> ()
+                | _ -> Alcotest.fail "hit beside a stalled client");
+                (match rpc fd { P.id = 100 + i; op = P.Ping } with
+                | _, P.Pong -> ()
+                | _ -> Alcotest.fail "ping beside a stalled client");
+                worst := Float.max !worst (Unix.gettimeofday () -. t0)
+              done;
+              Alcotest.(check bool)
+                (Printf.sprintf
+                   "hit + ping beside a stalled client: worst %.1f ms"
+                   (!worst *. 1e3))
+                true (!worst < 0.1);
+              (* past send_timeout_ms the server has closed it: reading
+                 now finds the end of the stream instead of replies
+                 that keep coming *)
+              Unix.sleepf 0.8;
+              Unix.setsockopt_float slow Unix.SO_RCVTIMEO 3.0;
+              let b = Bytes.create 65536 in
+              let rec drain total =
+                match Unix.read slow b 0 (Bytes.length b) with
+                | 0 -> total
+                | k -> drain (total + k)
+                | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> total
+                | exception
+                    Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                    Alcotest.failf "stalled client still open after %d bytes"
+                      total
+              in
+              let got = drain 0 in
+              Domain.join writer;
+              Alcotest.(check bool) "stalled client got part of its replies"
+                true
+                (got < n * reply_bytes));
+          (* the server is still fine *)
+          match rpc fd { P.id = 7; op = P.Ping } with
+          | 7, P.Pong -> ()
+          | _ -> Alcotest.fail "ping after the stalled client"))
+
+let test_reply_handed_to_writer () =
+  (* while a worker holds a connection's write mutex (held here by a
+     delay failpoint inside its reply write), replies the loop answers
+     on that connection are handed to the worker, not lost and not
+     waited for; and a connection stalled on a full socket whose mutex
+     a worker holds is resumed once the worker is done *)
+  let _, _, g, _, _, _ = Lazy.force fixture in
+  let config = { (base_config 1) with queue_cap = 64 } in
+  let read_reply fd =
+    match P.read_frame fd with
+    | Some payload -> P.decode_reply payload
+    | None -> Alcotest.fail "connection closed"
+  in
+  with_faults (fun () ->
+      with_server ~config [ Server.Source_general g ] (fun _srv port ->
+          (* a Ping answered by the loop while the worker writes *)
+          with_conn port (fun fd ->
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+              F.arm "server.reply" (F.Delay 300) (F.Nth 1);
+              P.write_all fd (P.encode_request { P.id = 1; op = query_a });
+              Unix.sleepf 0.1;
+              P.write_all fd (P.encode_request { P.id = 2; op = P.Ping });
+              let got = List.init 2 (fun _ -> read_reply fd) in
+              Alcotest.(check bool) "the ping was answered" true
+                (List.mem (2, P.Pong) got);
+              Alcotest.(check bool) "the query was answered" true
+                (List.exists
+                   (function 1, P.Hits _ -> true | _ -> false)
+                   got));
+          (* a stalled connection, resumed after the worker's write *)
+          with_conn port (fun fd ->
+              warm fd hot_op;
+              let n, _, hits = overflowing_hits g in
+              (* a miss first (the worker's write), then cached hits *)
+              let miss = P.Query { index = 0; pattern = "C"; tau = 0.2 } in
+              let reqs =
+                P.encode_request { P.id = 0; op = miss } ^ Buffer.contents hits
+              in
+              F.arm "server.reply" (F.Delay 300) (F.Nth 1);
+              let writer = Domain.spawn (fun () -> P.write_all fd reqs) in
+              Unix.sleepf 0.2;
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+              let seen = Array.make (n + 1) false in
+              for _ = 0 to n do
+                let id, _ = read_reply fd in
+                seen.(id) <- true
+              done;
+              Domain.join writer;
+              Alcotest.(check bool) "every pipelined request answered" true
+                (Array.for_all Fun.id seen);
+              match rpc fd { P.id = 7; op = P.Ping } with
+              | 7, P.Pong -> ()
+              | _ -> Alcotest.fail "ping after the stall")))
+
+let test_flight_owner_refused () =
+  (* a job that owns its key's flight and is never run — its deadline
+     expires in the queue, or the drain window closes on it — answers
+     the requests that joined its flight with the same typed error,
+     and leaves the key free for the next request *)
+  let _, _, g, _, _, _ = Lazy.force fixture in
+  let want = wire (G.query g ~pattern:(Sym.of_string "A") ~tau:0.3) in
+  let pipeline fd =
+    P.write_all fd (P.encode_request { P.id = 0; op = P.Slow 400 });
+    Unix.sleepf 0.1;
+    (* the owner, then two requests that join its flight *)
+    for i = 1 to 3 do
+      P.write_all fd (P.encode_request { P.id = i; op = query_a })
+    done
+  in
+  let check_refused name err got =
+    (match Hashtbl.find_opt got 0 with
+    | Some P.Pong -> ()
+    | _ -> Alcotest.failf "%s: slow op did not complete" name);
+    for i = 1 to 3 do
+      match Hashtbl.find_opt got i with
+      | Some (P.Error (e, _)) when e = err -> ()
+      | Some _ -> Alcotest.failf "%s: request %d got another reply" name i
+      | None -> Alcotest.failf "%s: request %d got no reply" name i
+    done
+  in
+  (* deadline expiry *)
+  let config = { (base_config 1) with debug_slow = true; deadline_ms = 80.0 } in
+  with_server ~config [ Server.Source_general g ] (fun srv port ->
+      with_conn port (fun fd ->
+          (* first sighting: computed, not admitted *)
+          check_hits "first sighting" want (snd (rpc fd { P.id = 50; op = query_a }));
+          pipeline fd;
+          let got = Hashtbl.create 4 in
+          for _ = 0 to 3 do
+            match P.read_frame fd with
+            | Some payload ->
+                let id, reply = P.decode_reply payload in
+                Hashtbl.replace got id reply
+            | None -> Alcotest.fail "connection closed"
+          done;
+          check_refused "timeout" P.Timeout got;
+          Alcotest.(check int) "two requests joined the flight" 2
+            (Pti_server.Metrics.result_cache_waits (Server.metrics srv));
+          check_hits "the key is free again" want
+            (snd (rpc fd { P.id = 60; op = query_a }))));
+  (* drain window *)
+  let config =
+    {
+      (base_config 1) with
+      debug_slow = true;
+      deadline_ms = 30_000.0;
+      drain_timeout_ms = 50.0;
+    }
+  in
+  let srv = Server.create ~config [ Server.Source_general g ] in
+  let d = Domain.spawn (fun () -> Server.run srv) in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Domain.join d)
+    (fun () ->
+      with_conn (Server.port srv) (fun fd ->
+          check_hits "first sighting" want (snd (rpc fd { P.id = 50; op = query_a }));
+          pipeline fd;
+          Unix.sleepf 0.05;
+          Server.stop srv;
+          check_refused "drain" P.Shutting_down (read_until_close fd)))
 
 let test_drain () =
   (* SIGTERM semantics: stop() closes the listen socket, lets in-flight
@@ -1898,6 +2171,14 @@ let () =
           Alcotest.test_case "batched replies byte-identical" `Quick
             test_batched_identity;
           Alcotest.test_case "sharded engine cache" `Quick test_cache_shards;
+          Alcotest.test_case "hit answered while the worker is busy" `Quick
+            test_hit_while_worker_busy;
+          Alcotest.test_case "slow reader does not stall the loop" `Quick
+            test_slow_reader_isolated;
+          Alcotest.test_case "refused flight owner answers its waiters" `Quick
+            test_flight_owner_refused;
+          Alcotest.test_case "loop replies handed to a busy writer" `Quick
+            test_reply_handed_to_writer;
         ] );
       ( "fault",
         [

@@ -897,6 +897,38 @@ let test_fault_legacy_save_keeps_old () =
       no_temp_left path;
       ignore (G.load path : G.t))
 
+(* The pattern -> suffix-range step on a packed, memory-mapped engine
+   allocates nothing per probe: a served query pays for it on every
+   request. Each call may allocate a few words (the [Some (sp, ep)]
+   answer); the bound leaves room for those, not for a block per
+   binary-search step, which costs hundreds of words a call. *)
+let test_suffix_range_allocation () =
+  let rng = H.rng_of_seed 91 in
+  let u = H.random_ustring rng 3000 4 3 in
+  let g = G.build ~tau_min:0.1 u in
+  with_tmp (fun path ->
+      G.save g path;
+      let e = G.engine (G.load path) in
+      let patterns =
+        Array.init 200 (fun i ->
+            if i mod 4 = 0 then H.random_letters rng 4 (1 + (i mod 9))
+            else H.random_pattern rng u 24)
+      in
+      (* the packed engine answers exactly as the heap-built one *)
+      Array.iter
+        (fun pattern ->
+          Alcotest.(check (option (pair int int)))
+            "same range as the heap engine"
+            (Engine.suffix_range (G.engine g) ~pattern)
+            (Engine.suffix_range e ~pattern))
+        patterns;
+      let w0 = Gc.minor_words () in
+      Array.iter (fun pattern -> ignore (Engine.suffix_range e ~pattern)) patterns;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int (Array.length patterns) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f minor words per suffix_range" per_call)
+        true (per_call <= 16.0))
+
 let () =
   Alcotest.run "pti_storage"
     [
@@ -923,6 +955,8 @@ let () =
           Alcotest.test_case "float32 opt-in" `Quick test_f32_optin;
           Alcotest.test_case "mapped views re-save byte-identical" `Quick
             test_packed_resave;
+          Alcotest.test_case "suffix_range allocation-free" `Quick
+            test_suffix_range_allocation;
         ] );
       ( "corruption",
         [
