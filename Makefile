@@ -38,7 +38,8 @@ bench-serve:
 	dune exec bench/main.exe -- serve
 
 # Just the multicore scaling sweep (workers 1/2/4/8 x concurrency
-# 1/8/64/256, mmap backend, verified replies); writes BENCH_SERVE.json.
+# 1/8/64/256, mmap backend, verified replies); rewrites the "multicore"
+# rows of BENCH_SERVE.json and keeps the rest of the file.
 bench-multicore:
 	dune exec bench/main.exe -- multicore
 
@@ -47,8 +48,9 @@ bench-multicore:
 # mmap containers — one row with the result cache off, a cold + hot
 # pair with it on — every reply verified byte-for-byte and each row
 # recording the server's minor-heap words per request next to the
-# pre-PR pooling baseline; writes the "hotpath" rows of
-# BENCH_SERVE.json (bench-serve includes them too).
+# baseline measured before buffer pooling; rewrites the "hotpath" block of
+# BENCH_SERVE.json and keeps the rest of the file (bench-serve
+# includes them too).
 bench-hotpath:
 	dune exec bench/main.exe -- hotpath
 

@@ -648,6 +648,37 @@ let json_escape s =
     s;
   Buffer.contents b
 
+(* Where top-level [key] of a JSON file this harness wrote starts (the
+   newline before its two-space indent) and where its value starts.
+   Strings never hold a raw newline, so the match is a real key. *)
+let top_level_key text key =
+  let pat = Printf.sprintf "\n  \"%s\": " key in
+  let n = String.length text and m = String.length pat in
+  let rec find i =
+    if i + m > n then None
+    else if String.sub text i m = pat then Some (i, i + m)
+    else find (i + 1)
+  in
+  find 0
+
+(* The bracketed value of top-level [key], verbatim. *)
+let top_level_value text key =
+  let n = String.length text in
+  let rec close j depth in_str =
+    if j >= n then None
+    else
+      match text.[j] with
+      | '\\' when in_str -> close (j + 2) depth in_str
+      | '"' -> close (j + 1) depth (not in_str)
+      | ('[' | '{') when not in_str -> close (j + 1) (depth + 1) in_str
+      | (']' | '}') when not in_str ->
+          if depth = 1 then Some (j + 1) else close (j + 1) (depth - 1) in_str
+      | _ -> close (j + 1) depth in_str
+  in
+  Option.bind (top_level_key text key) (fun (_, start) ->
+      Option.map (fun stop -> String.sub text start (stop - start))
+        (close start 0 false))
+
 (* Peak resident set (VmHWM) of this process in bytes, 0 if unknown
    (non-Linux). Sampled once per result row as the row completes, so a
    JSON consumer can read the memory high-water mark each measurement
@@ -1097,11 +1128,12 @@ let space () =
    heap-resident engines vs the mmap container + sharded LRU cache
    exactly as `pti serve` runs them — "multicore" — the scaling
    sweep (workers 1/2/4/8 × concurrency 1/8/64/256, mmap backend) with
-   byte-for-byte verification of every reply, so batched worker
-   dispatch is proven identical to direct engine queries while it is
-   being measured — and "hotpath" — the zero-allocation/result-cache
-   profile (DESIGN.md §14): a repetitive pattern-pool workload at
-   concurrency 8 against packed and succinct mmap containers, one row
+   byte-for-byte verification of every reply, so the replies the
+   accept loop and the workers compute are proven identical to direct
+   engine queries while they are being measured — and "hotpath" — the
+   zero-allocation/result-cache profile (DESIGN.md §14): a repetitive
+   pattern-pool workload at concurrency 8 against packed and succinct
+   mmap containers, one row
    with the result cache off and a cold + cache-hot pair with it on,
    each row recording the server's own minor-heap words per request
    next to the pre-PR baseline measured before buffer pooling. The
@@ -1265,7 +1297,7 @@ let serve_bench ?(sweep_only = false) ?(hotpath_only = false) () =
                       tag w concurrency r.Loadgen.throughput_rps
                       r.Loadgen.p50_us r.Loadgen.p95_us r.Loadgen.p99_us
                       (row_errors r) r.Loadgen.verify_failures;
-                    (tag, w, concurrency, r, peak_rss_bytes ()))
+                    (tag, w, concurrency, r))
                   concurrencies))
           configs
       in
@@ -1420,8 +1452,7 @@ let serve_bench ?(sweep_only = false) ?(hotpath_only = false) () =
                           tag phase hp_conc r.Loadgen.throughput_rps
                           r.Loadgen.p50_us r.Loadgen.p99_us (row_errors r)
                           r.Loadgen.verify_failures words_per_req rc_hits;
-                        ( tag, phase, cache_mb > 0, rc_hits, words_per_req,
-                          r, peak_rss_bytes () ))
+                        (tag, phase, cache_mb > 0, rc_hits, words_per_req, r))
                       passes)
               in
               let off_rows = run_passes 0 [ ("cache_off", warm, 2) ] in
@@ -1443,12 +1474,12 @@ let serve_bench ?(sweep_only = false) ?(hotpath_only = false) () =
       let hotpath_summary =
         let find phase =
           List.find_opt
-            (fun (tag, p, _, _, _, _, _) -> tag = "packed" && p = phase)
+            (fun (tag, p, _, _, _, _) -> tag = "packed" && p = phase)
             hotpath_rows
         in
         match (find "cache_off", find "hot") with
-        | ( Some (_, _, _, _, off_words, off, _),
-            Some (_, _, _, _, hot_words, hot, _) )
+        | ( Some (_, _, _, _, off_words, off),
+            Some (_, _, _, _, hot_words, hot) )
           when off.Loadgen.throughput_rps > 0.0 ->
             let speedup =
               hot.Loadgen.throughput_rps /. off.Loadgen.throughput_rps
@@ -1479,95 +1510,223 @@ let serve_bench ?(sweep_only = false) ?(hotpath_only = false) () =
       in
       let speedup w concurrency r =
         match
-          List.find_opt (fun (_, w', c', _, _) -> w' = 1 && c' = concurrency)
+          List.find_opt (fun (_, w', c', _) -> w' = 1 && c' = concurrency)
             mc_rows
         with
-        | Some (_, _, _, base, _)
+        | Some (_, _, _, base)
           when w > 1 && base.Loadgen.throughput_rps > 0.0 ->
             r.Loadgen.throughput_rps /. base.Loadgen.throughput_rps
         | _ -> 1.0
       in
-      let oc = open_out "BENCH_SERVE.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
+      let header =
+        Printf.sprintf
+          "{\n  \"experiment\": \"serve\",\n  \"n\": %d,\n\
+          \  \"theta\": %g,\n  \"tau\": %g,\n  \"tau_min\": %g,\n\
+          \  \"workers\": %d,\n  \"duration_s\": %g,\n\
+          \  \"mix\": \"query=8,topk=1,listing=1\",\n\
+          \  %s\n\
+          \  \"note\": \"%s\",\n"
+          n theta tau_default tau_min_default workers duration_s
+          (host_json_fields ())
+          (json_escape
+             ("one server (binary protocol, bounded queue, worker domains, \
+               epoll accept loop answering result-cache hits and cheap \
+               misses), one Loadgen client pool per row; heap = engines \
+               built in-process, mmap = PTI-ENGINE-4 containers resolved \
+               through the sharded LRU cache. every reply is verified \
+               byte-for-byte against a direct engine query \
+               (verify_failures counts mismatches). latency percentiles \
+               are exact client-side measurements. multicore rows sweep \
+               worker domains on the mmap backend; cores is the \
+               affinity-aware usable core count per row. the hotpath \
+               block carries the host it ran on."
+             ^
+             if cores <= 1 then
+               " WARNING: single-core host — the accept loop, the worker \
+                and the load generator all share one core, so throughput \
+                is a floor and multicore speedups cannot exceed 1; rerun \
+                on a multicore host."
+             else ""))
+      in
+      let rows_json render rows =
+        "[\n" ^ String.concat ",\n" (List.map render rows) ^ "\n  ]"
+      in
+      let results_json =
+        rows_json
+          (fun (backend, _, concurrency, r) ->
+            Printf.sprintf "    {\"engines\": \"%s\", \"concurrency\": %d, %s}"
+              backend concurrency
+              (Loadgen.to_json_fields r))
+          backend_rows
+      in
+      let multicore_json =
+        rows_json
+          (fun (_, w, concurrency, r) ->
+            Printf.sprintf
+              "    {\"workers\": %d, \"concurrency\": %d, \"cores\": %d, \
+               \"raw_processor_count\": %d, \"speedup_vs_workers1\": %.3f, %s}"
+              w concurrency cores
+              (Pti_parallel.raw_processor_count ())
+              (speedup w concurrency r)
+              (Loadgen.to_json_fields r))
+          mc_rows
+      in
+      let hotpath_json =
+        Printf.sprintf
+          "{\n    \"workers\": %d, %s\n\
+          \    \"concurrency\": %d, \"pattern_pool\": %d,\n\
+          \    \"pre_pr_minor_words_per_request\": %.1f,\n\
+          \    \"pre_pr_note\": \"%s\",\n\
+          \    %s\"rows\": [\n%s\n    ]\n  }"
+          workers
+          (String.concat " "
+             (List.map String.trim
+                (String.split_on_char '\n' (host_json_fields ()))))
+          hp_conc hp_pool pre_pr_minor_words_per_request
+          (json_escape
+             "baseline measured at the commit before buffer pooling and \
+              the result cache (bdaddba) with a Gc.quick_stat sampler \
+              patched into its worker/accept loops: binary protocol, \
+              mmap packed containers, concurrency 8, \
+              mix query=8,topk=1,listing=1, lengths 3/6, tau 0.15, \
+              n=100000")
+          hotpath_summary
+          (String.concat ",\n"
+             (List.map
+                (fun (tag, phase, cache_on, rc_hits, words_per_req, r) ->
+                  Printf.sprintf
+                    "      {\"backend\": \"%s\", \"phase\": \"%s\", \
+                     \"result_cache\": %b, \"result_cache_hits\": %d, \
+                     \"minor_words_per_request\": %.1f, %s}"
+                    tag phase cache_on rc_hits words_per_req
+                    (Loadgen.to_json_fields r))
+                hotpath_rows))
+      in
+      (* A run rewrites only the blocks it measured: the others, and the
+         header describing the host of the results rows, are kept from
+         the existing file, so `make bench-hotpath` and
+         `make bench-multicore` leave the rest of it alone. *)
+      let old =
+        try Some (In_channel.with_open_bin "BENCH_SERVE.json" In_channel.input_all)
+        with Sys_error _ -> None
+      in
+      let keep key fresh json default =
+        if fresh then json
+        else
+          Option.value ~default
+            (Option.bind old (fun text -> top_level_value text key))
+      in
+      let results_fresh = not (sweep_only || hotpath_only) in
+      let header =
+        match old with
+        | Some text when not results_fresh -> (
+            match top_level_key text "results" with
+            | Some (i, _) -> String.sub text 0 (i + 1)
+            | None -> header)
+        | _ -> header
+      in
+      Out_channel.with_open_bin "BENCH_SERVE.json" (fun oc ->
           Printf.fprintf oc
-            "{\n  \"experiment\": \"serve\",\n  \"n\": %d,\n\
-            \  \"theta\": %g,\n  \"tau\": %g,\n  \"tau_min\": %g,\n\
-            \  \"workers\": %d,\n  \"duration_s\": %g,\n\
-            \  \"mix\": \"query=8,topk=1,listing=1\",\n\
-            \  %s\n\
-            \  \"note\": \"%s\",\n  \"results\": [\n"
-            n theta tau_default tau_min_default workers duration_s
-            (host_json_fields ())
-            (json_escape
-               ("one server (binary protocol, bounded queue, batched worker \
-                 domains, epoll accept loop), one Loadgen client pool per \
-                 row; heap = engines built in-process, mmap = PTI-ENGINE-4 \
-                 containers resolved through the sharded LRU cache. every \
-                 reply is verified byte-for-byte against a direct engine \
-                 query (verify_failures counts mismatches). latency \
-                 percentiles are exact client-side measurements. multicore \
-                 rows sweep worker domains on the mmap backend; cores is \
-                 the affinity-aware usable core count per row."
-               ^
-               if cores <= 1 then
-                 " WARNING: single-core host — the accept loop, the worker \
-                  and the load generator all share one core, so throughput \
-                  is a floor and multicore speedups cannot exceed 1; rerun \
-                  on a multicore host."
-               else ""));
-          List.iteri
-            (fun i (backend, _, concurrency, r, rss) ->
-              Printf.fprintf oc
-                "    {\"engines\": \"%s\", \"concurrency\": %d, \
-                 \"peak_rss_bytes\": %d, %s}%s\n"
-                backend concurrency rss
-                (Loadgen.to_json_fields r)
-                (if i = List.length backend_rows - 1 then "" else ","))
-            backend_rows;
-          Printf.fprintf oc "  ],\n  \"multicore\": [\n";
-          List.iteri
-            (fun i (_, w, concurrency, r, rss) ->
-              Printf.fprintf oc
-                "    {\"workers\": %d, \"concurrency\": %d, \"cores\": %d, \
-                 \"raw_processor_count\": %d, \"speedup_vs_workers1\": %.3f, \
-                 \"peak_rss_bytes\": %d, %s}%s\n"
-                w concurrency cores
-                (Pti_parallel.raw_processor_count ())
-                (speedup w concurrency r)
-                rss
-                (Loadgen.to_json_fields r)
-                (if i = List.length mc_rows - 1 then "" else ","))
-            mc_rows;
-          Printf.fprintf oc
-            "  ],\n  \"hotpath\": {\n\
-            \    \"concurrency\": %d, \"pattern_pool\": %d,\n\
-            \    \"pre_pr_minor_words_per_request\": %.1f,\n\
-            \    \"pre_pr_note\": \"%s\",\n\
-            \    %s\"rows\": [\n"
-            hp_conc hp_pool pre_pr_minor_words_per_request
-            (json_escape
-               "baseline measured at the commit before buffer pooling and \
-                the result cache (bdaddba) with a Gc.quick_stat sampler \
-                patched into its worker/accept loops: binary protocol, \
-                mmap packed containers, concurrency 8, \
-                mix query=8,topk=1,listing=1, lengths 3/6, tau 0.15, \
-                n=100000")
-            hotpath_summary;
-          List.iteri
-            (fun i (tag, phase, cache_on, rc_hits, words_per_req, r, rss) ->
-              Printf.fprintf oc
-                "      {\"backend\": \"%s\", \"phase\": \"%s\", \
-                 \"result_cache\": %b, \"result_cache_hits\": %d, \
-                 \"minor_words_per_request\": %.1f, \"peak_rss_bytes\": %d, \
-                 %s}%s\n"
-                tag phase cache_on rc_hits words_per_req rss
-                (Loadgen.to_json_fields r)
-                (if i = List.length hotpath_rows - 1 then "" else ","))
-            hotpath_rows;
-          Printf.fprintf oc "    ]\n  }\n}\n"));
+            "%s  \"results\": %s,\n  \"multicore\": %s,\n  \"hotpath\": %s\n}\n"
+            header
+            (keep "results" results_fresh results_json "[]")
+            (keep "multicore" (not hotpath_only) multicore_json "[]")
+            (keep "hotpath" (not sweep_only) hotpath_json "{}")));
   Printf.printf "   wrote BENCH_SERVE.json\n"
+
+(* ------------------------------------------------------------------ *)
+(* loop_budget: calibrates Server.loop_range_budget (DESIGN.md §12.5).
+   A result-cache miss runs on the accept loop when its pattern has at
+   most Server.loop_pattern_max symbols and its suffix range holds at
+   most Server.loop_range_budget entries, so the loop's worst admitted
+   query is one whose range just fits. For each candidate budget this
+   times, in-process, the queries whose range falls in (budget/2,
+   budget] at τ = τ_min (where every range entry can be an answer),
+   reply encoding included, and reports the mean and the worst. *)
+let loop_budget () =
+  let module SP = Pti_server.Protocol in
+  let n = if !smoke then 5_000 else 20_000 in
+  let theta = 0.3 in
+  let g = G.build ~tau_min:tau_min_default (dataset ~n ~theta) in
+  let docs = docs ~n ~theta in
+  let l = L.build ~tau_min:tau_min_default docs in
+  print_header "loop_budget: worst miss the accept loop may run"
+    (Printf.sprintf
+       "n=%d theta=%.1f tau=tau_min=%.1f; patterns of length 1-%d \
+        (Server.loop_pattern_max) whose suffix range holds (budget/2, \
+        budget] entries; per pattern the best of 5 rounds of 20 runs of \
+        query + reply encoding; Server.loop_range_budget = %d"
+       n theta tau_min_default Pti_server.Server.loop_pattern_max
+       Pti_server.Server.loop_range_budget);
+  let rng = Random.State.make [| 77 |] in
+  let sample engine sources =
+    List.concat_map
+      (fun m ->
+        List.concat_map
+          (fun u ->
+            if m > U.length u then []
+            else
+              List.filter_map
+                (fun p ->
+                  Option.map
+                    (fun (lo, hi) -> (p, hi - lo + 1))
+                    (Engine.suffix_range engine ~pattern:p))
+                (Q.patterns rng u ~m ~count:(400 / List.length sources + 1)))
+          sources)
+      (List.init Pti_server.Server.loop_pattern_max (fun i -> i + 1))
+  in
+  let cost run p =
+    let round () =
+      let _, t =
+        time (fun () ->
+            for _ = 1 to 20 do
+              ignore
+                (SP.encode_reply ~id:1
+                   (SP.Hits (List.map (fun (k, v) -> (k, Logp.to_log v)) (run p))))
+            done)
+      in
+      t /. 20.0
+    in
+    List.fold_left Float.min infinity (List.init 5 (fun _ -> round ()))
+  in
+  let indexes =
+    [
+      ("general", sample (G.engine g) [ dataset ~n ~theta ],
+       fun p -> G.query g ~pattern:p ~tau:tau_min_default);
+      ("listing", sample (L.engine l) (List.filteri (fun i _ -> i < 40) docs),
+       fun p -> L.query l ~pattern:p ~tau:tau_min_default);
+    ]
+  in
+  Printf.printf "%8s %13s %9s %10s %10s\n" "budget" "index" "patterns" "mean_us"
+    "worst_us";
+  (* the "-long" rows take the longest patterns the loop admits (the
+     top 8 lengths) at any range size within the budget: their range
+     search, not their extractions, is what grows *)
+  let long_from = Pti_server.Server.loop_pattern_max - 7 in
+  List.iter
+    (fun budget ->
+      List.iter
+        (fun (name, sampled, run) ->
+          List.iter
+            (fun (row, keep) ->
+              let costs =
+                List.filteri (fun i _ -> i < 100) (List.filter keep sampled)
+                |> List.map (fun (p, _) -> cost run p)
+              in
+              if costs <> [] then
+                Printf.printf "%8d %13s %9d %10.2f %10.2f\n%!" budget row
+                  (List.length costs)
+                  (1e6 *. List.fold_left ( +. ) 0.0 costs
+                  /. float_of_int (List.length costs))
+                  (1e6 *. List.fold_left Float.max 0.0 costs))
+            [
+              (name, fun (_, size) -> size > budget / 2 && size <= budget);
+              ( name ^ "-long",
+                fun (p, size) ->
+                  Array.length p >= long_from && size >= 1 && size <= budget );
+            ])
+        indexes)
+    [ 16; 32; 64; 128; 256 ]
 
 (* ------------------------------------------------------------------ *)
 (* lsm: the dynamic corpus (DESIGN.md §15) — scatter-gather query cost
@@ -1945,6 +2104,9 @@ let experiments =
        and likewise excluded from the default selection. Named for
        `make bench-hotpath`. *)
     ("hotpath", fun () -> serve_bench ~hotpath_only:true ());
+    (* Calibration of the accept loop's work budget for cache misses
+       (DESIGN.md §12.5); prints only. *)
+    ("loop_budget", loop_budget);
     ("micro", micro);
   ]
 

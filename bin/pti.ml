@@ -1066,11 +1066,11 @@ let serve_cmd =
     Arg.(
       value & opt int 32
       & info [ "batch-max" ] ~docv:"N"
-          ~doc:"Most requests a worker domain drains from the queue in \
-                one batch (compatible queries execute as one \
-                query_batch call; replies are byte-identical to \
-                unbatched dispatch). 1 disables batching. Must be >= 1 \
-                (exit 2 otherwise).")
+          ~doc:"Most queued requests a worker domain takes in one pop; \
+                it runs them one by one and writes each connection's \
+                replies together. Cheap queries never reach the queue: \
+                the accept loop answers them. Must be >= 1 (exit 2 \
+                otherwise).")
   in
   let result_cache_mb =
     Arg.(

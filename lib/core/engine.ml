@@ -536,11 +536,23 @@ let validate_query t ~pattern ~tau =
          tau_min);
   if tau > 1.0 then invalid_arg "Engine.query: tau > 1"
 
-let query t ~pattern ~tau =
+exception Over_budget
+
+(* The one range search bounds the rest of the query: a short pattern
+   makes at most [r - l + 1] extractions, a long one scans at most that
+   many slots. A caller with a work budget gets [Over_budget] before
+   any of it starts. *)
+let within_budget max_range l r =
+  match max_range with
+  | Some b when r - l + 1 > b -> raise Over_budget
+  | _ -> ()
+
+let query ?max_range t ~pattern ~tau =
   validate_query t ~pattern ~tau;
   match raw_range t pattern with
   | None -> []
   | Some (l, r) ->
+      within_budget max_range l r;
       let m = Array.length pattern in
       let ltau = Logp.to_log (Logp.of_prob tau) in
       if m <= t.max_short then short_query t ~level:m ~l ~r ~ltau
@@ -552,11 +564,12 @@ let query t ~pattern ~tau =
 
 let count t ~pattern ~tau = List.length (query t ~pattern ~tau)
 
-let stream t ~pattern ~tau =
+let stream ?max_range t ~pattern ~tau =
   validate_query t ~pattern ~tau;
   match raw_range t pattern with
   | None -> Seq.empty
   | Some (l, r) ->
+      within_budget max_range l r;
       let m = Array.length pattern in
       let ltau = Logp.to_log (Logp.of_prob tau) in
       if m <= t.max_short then short_stream t ~level:m ~l ~r ~ltau
@@ -569,9 +582,9 @@ let stream t ~pattern ~tau =
         List.to_seq answers
       end
 
-let query_top_k t ~pattern ~tau ~k =
+let query_top_k ?max_range t ~pattern ~tau ~k =
   if k < 0 then invalid_arg "Engine.query_top_k: negative k";
-  List.of_seq (Seq.take k (stream t ~pattern ~tau))
+  List.of_seq (Seq.take k (stream ?max_range t ~pattern ~tau))
 
 (* Queries only read the engine (suffix/LCP arrays, RMQ structures,
    bitmaps, the transform — all immutable after [finish]); per-query

@@ -118,30 +118,44 @@ val max_short : t -> int
 
 val suffix_range : t -> pattern:Pti_ustring.Sym.t array -> (int * int) option
 
+exception Over_budget
+(** Raised by {!query}, {!stream} and {!query_top_k} when the pattern's
+    suffix range holds more entries than their [max_range]. *)
+
 val query :
+  ?max_range:int ->
   t -> pattern:Pti_ustring.Sym.t array -> tau:float -> (int * Logp.t) list
 (** Distinct keys with metric value strictly above [tau], most probable
     first. Raises [Invalid_argument] if [tau < tau_min] of the
-    transform, or if the pattern is empty or contains the separator. *)
+    transform, or if the pattern is empty or contains the separator.
+
+    [max_range] bounds the query's work: the suffix range's size caps
+    both the extractions of a short pattern and the slots a long one
+    scans. A range of more than [max_range] entries raises
+    {!Over_budget} right after the range search, before any RMQ
+    extraction or ladder scan. Without it the query is unbounded. *)
 
 val count : t -> pattern:Pti_ustring.Sym.t array -> tau:float -> int
 
 val stream :
+  ?max_range:int ->
   t -> pattern:Pti_ustring.Sym.t array -> tau:float -> (int * Logp.t) Seq.t
 (** Like {!query}, but lazily: answers are produced on demand in
     non-increasing metric order, so consuming a prefix of the sequence
     costs time proportional to that prefix (for short patterns; long
     patterns materialise the answer first). The sequence is ephemeral —
     it captures mutable traversal state and must be consumed at most
-    once. *)
+    once. [max_range] as in {!query}; {!Over_budget} is raised when the
+    sequence is made, not when it is consumed. *)
 
 val query_top_k :
+  ?max_range:int ->
   t -> pattern:Pti_ustring.Sym.t array -> tau:float -> k:int ->
   (int * Logp.t) list
 (** The [k] most probable answers above [tau] (fewer if fewer exist).
     For short patterns this stops after [k] range-maximum extractions —
     the top-k flavour of the Hon–Shah–Vitter framework the paper builds
-    on (§7). *)
+    on (§7). [max_range] as in {!query}. *)
 
 val query_batch :
   ?domains:int ->

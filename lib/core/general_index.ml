@@ -10,12 +10,13 @@ let build ?config ?backend ?domains ?max_text_len ~tau_min u =
   let tr = Transform.build ?max_text_len ~tau_min u in
   { engine = Engine.build ?config ?backend ?domains ~key_of_pos:(fun p -> p) tr }
 
-let query t ~pattern ~tau = Engine.query t.engine ~pattern ~tau
+let query ?max_range t ~pattern ~tau = Engine.query ?max_range t.engine ~pattern ~tau
 let query_batch ?domains t ~patterns = Engine.query_batch ?domains t.engine ~patterns
 let query_string t ~pattern ~tau = query t ~pattern:(Sym.of_string pattern) ~tau
 let count t ~pattern ~tau = Engine.count t.engine ~pattern ~tau
 let stream t ~pattern ~tau = Engine.stream t.engine ~pattern ~tau
-let query_top_k t ~pattern ~tau ~k = Engine.query_top_k t.engine ~pattern ~tau ~k
+let query_top_k ?max_range t ~pattern ~tau ~k =
+  Engine.query_top_k ?max_range t.engine ~pattern ~tau ~k
 let source t = Transform.source (Engine.transform t.engine)
 let tau_min t = Transform.tau_min (Engine.transform t.engine)
 let transform t = Engine.transform t.engine

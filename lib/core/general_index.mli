@@ -26,10 +26,11 @@ val build :
     count. *)
 
 val query :
+  ?max_range:int ->
   t -> pattern:Pti_ustring.Sym.t array -> tau:float -> (int * Logp.t) list
 (** Distinct starting positions with matching probability strictly above
     [tau ≥ tau_min], most probable first. Raises [Invalid_argument] if
-    [tau < tau_min]. *)
+    [tau < tau_min]; [max_range] bounds the work, as in {!Engine.query}. *)
 
 val query_batch :
   ?domains:int ->
@@ -47,6 +48,7 @@ val stream :
 (** Lazy, most-probable-first; ephemeral (see {!Engine.stream}). *)
 
 val query_top_k :
+  ?max_range:int ->
   t -> pattern:Pti_ustring.Sym.t array -> tau:float -> k:int ->
   (int * Logp.t) list
 (** The [k] most probable occurrences above [tau]. *)

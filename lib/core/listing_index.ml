@@ -49,12 +49,13 @@ let build ?(rmq_kind = Pti_rmq.Rmq.Succinct) ?(ladder = Engine.Ladder_geometric)
 
 let n_docs t = t.n_docs
 let doc t k = (Lazy.force t.docs).(k)
-let query t ~pattern ~tau = Engine.query t.engine ~pattern ~tau
+let query ?max_range t ~pattern ~tau = Engine.query ?max_range t.engine ~pattern ~tau
 let query_batch ?domains t ~patterns = Engine.query_batch ?domains t.engine ~patterns
 let query_string t ~pattern ~tau = query t ~pattern:(Sym.of_string pattern) ~tau
 let count t ~pattern ~tau = Engine.count t.engine ~pattern ~tau
 let stream t ~pattern ~tau = Engine.stream t.engine ~pattern ~tau
-let query_top_k t ~pattern ~tau ~k = Engine.query_top_k t.engine ~pattern ~tau ~k
+let query_top_k ?max_range t ~pattern ~tau ~k =
+  Engine.query_top_k ?max_range t.engine ~pattern ~tau ~k
 let relevance t = t.relevance
 let engine t = t.engine
 let size_words t = Engine.size_words t.engine

@@ -47,9 +47,11 @@ val n_docs : t -> int
 val doc : t -> int -> Pti_ustring.Ustring.t
 
 val query :
+  ?max_range:int ->
   t -> pattern:Pti_ustring.Sym.t array -> tau:float -> (int * Logp.t) list
 (** Document ids whose relevance for the pattern strictly exceeds [tau],
-    most relevant first. *)
+    most relevant first; [max_range] bounds the work, as in
+    {!Engine.query}. *)
 
 val query_batch :
   ?domains:int ->
@@ -67,6 +69,7 @@ val stream :
 (** Lazy, most-relevant-first; ephemeral (see {!Engine.stream}). *)
 
 val query_top_k :
+  ?max_range:int ->
   t -> pattern:Pti_ustring.Sym.t array -> tau:float -> k:int ->
   (int * Logp.t) list
 (** The [k] most relevant documents above [tau]. *)

@@ -72,6 +72,12 @@ let evict_lru sh =
   | Some (path, _) -> Hashtbl.remove sh.tbl path
   | None -> ()
 
+let touch sh metrics e =
+  e.last_use <- sh.tick;
+  sh.hits <- sh.hits + 1;
+  Option.iter Metrics.incr_cache_hit metrics;
+  e.handle
+
 let get t ?metrics path =
   let sh = shard_of t path in
   Mutex.lock sh.m;
@@ -80,11 +86,7 @@ let get t ?metrics path =
     (fun () ->
       sh.tick <- sh.tick + 1;
       match Hashtbl.find_opt sh.tbl path with
-      | Some e ->
-          e.last_use <- sh.tick;
-          sh.hits <- sh.hits + 1;
-          Option.iter Metrics.incr_cache_hit metrics;
-          e.handle
+      | Some e -> touch sh metrics e
       | None ->
           sh.misses <- sh.misses + 1;
           Option.iter Metrics.incr_cache_miss metrics;
@@ -103,6 +105,18 @@ let get t ?metrics path =
           if Hashtbl.length sh.tbl >= sh.capacity then evict_lru sh;
           Hashtbl.replace sh.tbl path { handle; last_use = sh.tick };
           handle)
+
+(* The accept loop's lookup: never waits for a shard lock (a worker may
+   hold it for a whole container open) and never opens a file. *)
+let find_open t ?metrics path =
+  let sh = shard_of t path in
+  if not (Mutex.try_lock sh.m) then None
+  else begin
+    sh.tick <- sh.tick + 1;
+    let found = Option.map (touch sh metrics) (Hashtbl.find_opt sh.tbl path) in
+    Mutex.unlock sh.m;
+    found
+  end
 
 (* Reopen every cached path and swap in the fresh handle; evict entries
    whose file no longer opens (deleted, replaced with garbage, corrupt).

@@ -45,6 +45,12 @@ val get : t -> ?metrics:Metrics.t -> string -> handle
     sure no entry remains cached under the path and counting an open
     failure — a bad file is retried on the next request, never pinned. *)
 
+val find_open : t -> ?metrics:Metrics.t -> string -> handle option
+(** The handle for this path if it is already open and its shard lock
+    is free; [None] otherwise. Never blocks and never opens a file. A
+    handle found counts as a hit; [None] counts nothing, so the {!get}
+    that follows counts the lookup once. *)
+
 val revalidate : t -> ?metrics:Metrics.t -> unit -> (string * exn) list
 (** Reopen every cached path, across {e all} shards: entries whose file
     still opens are replaced with the freshly loaded handle (picking up

@@ -74,8 +74,12 @@ type t = {
   batched_jobs : int Atomic.t; (* jobs delivered through those rounds *)
   max_batch : int Atomic.t;
   batch_hist : hist; (* batch sizes *)
-  hists : hist array; (* per kind, unbatched dispatch *)
-  hists_batched : hist array; (* per kind, batched (query_batch) dispatch *)
+  hists : hist array; (* latency per kind *)
+  (* the daemon's own socket syscalls, counted where it makes them *)
+  loop_sends : int Atomic.t;
+  worker_writes : int Atomic.t;
+  reads : int Atomic.t;
+  epoll_waits : int Atomic.t;
   (* GC work accumulated across every participating domain (the accept
      loop and each worker report their own deltas; see [gc_sampler]) *)
   gc_minor_words : int Atomic.t;
@@ -119,8 +123,10 @@ let create () =
     max_batch = Atomic.make 0;
     batch_hist = atomic_array n_buckets;
     hists = Array.init (Array.length kinds) (fun _ -> atomic_array n_buckets);
-    hists_batched =
-      Array.init (Array.length kinds) (fun _ -> atomic_array n_buckets);
+    loop_sends = Atomic.make 0;
+    worker_writes = Atomic.make 0;
+    reads = Atomic.make 0;
+    epoll_waits = Atomic.make 0;
     gc_minor_words = Atomic.make 0;
     gc_major_words = Atomic.make 0;
     gc_minor_collections = Atomic.make 0;
@@ -141,8 +147,6 @@ let incr a = Atomic.incr a
 let incr_received t ~kind = incr t.received.(kind_index kind)
 let incr_ok t ~kind = incr t.ok.(kind_index kind)
 let incr_error t ~err = incr t.errors.(err_index err)
-let incr_overloaded t = incr_error t ~err:"overloaded"
-let incr_timeout t = incr_error t ~err:"timeout"
 let incr_connections t = incr t.connections
 let incr_connection_shed t = incr t.connections_shed
 let incr_dropped_replies t = incr t.dropped_replies
@@ -176,6 +180,15 @@ let batches t = Atomic.get t.batches
 let batched_jobs t = Atomic.get t.batched_jobs
 let max_batch_size t = Atomic.get t.max_batch
 
+let incr_loop_send t = incr t.loop_sends
+let incr_worker_write t = incr t.worker_writes
+let incr_read t = incr t.reads
+let incr_epoll_wait t = incr t.epoll_waits
+let loop_sends t = Atomic.get t.loop_sends
+let worker_writes t = Atomic.get t.worker_writes
+let reads t = Atomic.get t.reads
+let epoll_waits t = Atomic.get t.epoll_waits
+
 let add n a = ignore (Atomic.fetch_and_add a n : int)
 
 (* [Gc.quick_stat] counters are per-domain in OCaml 5, so each domain
@@ -199,9 +212,6 @@ let gc_sampler t =
       t.gc_major_collections
 
 let gc_minor_words t = Atomic.get t.gc_minor_words
-let gc_major_words t = Atomic.get t.gc_major_words
-let gc_minor_collections t = Atomic.get t.gc_minor_collections
-let gc_major_collections t = Atomic.get t.gc_major_collections
 
 let incr_result_cache_hit t = incr t.rcache_hits
 let incr_result_cache_miss t = incr t.rcache_misses
@@ -220,19 +230,16 @@ let record_scrub_pass t ~segments ~corrupt ~quarantined =
   ignore (Atomic.fetch_and_add t.scrub_corrupt corrupt : int);
   ignore (Atomic.fetch_and_add t.scrub_quarantined quarantined : int)
 
-let scrub_passes t = Atomic.get t.scrub_passes
 let scrub_corrupt t = Atomic.get t.scrub_corrupt
 let scrub_quarantined t = Atomic.get t.scrub_quarantined
 
-let record_latency ?(batched = false) t ~kind ~seconds =
-  let hs = if batched then t.hists_batched else t.hists in
-  incr hs.(kind_index kind).(bucket_of_us (seconds *. 1e6))
+let record_latency t ~kind ~seconds =
+  incr t.hists.(kind_index kind).(bucket_of_us (seconds *. 1e6))
 
-(* Percentiles are computed over immutable snapshots so the batched and
-   unbatched histograms of one kind can be merged consistently. *)
+(* Percentiles are computed over an immutable snapshot, so one read
+   sees one consistent histogram. *)
 let snap h = Array.map Atomic.get h
 let snap_total s = Array.fold_left ( + ) 0 s
-let snap_merge a b = Array.init n_buckets (fun i -> a.(i) + b.(i))
 
 let percentile_of_snap s q =
   let total = snap_total s in
@@ -252,13 +259,9 @@ let percentile_of_snap s q =
   end
 
 let requests_received t ~kind = Atomic.get t.received.(kind_index kind)
-let requests_ok t ~kind = Atomic.get t.ok.(kind_index kind)
 let errors t ~err = Atomic.get t.errors.(err_index err)
 let overloaded t = errors t ~err:"overloaded"
 let timeouts t = errors t ~err:"timeout"
-
-let merged_snap t i = snap_merge (snap t.hists.(i)) (snap t.hists_batched.(i))
-let percentile_us t ~kind q = percentile_of_snap (merged_snap t (kind_index kind)) q
 
 let to_json ?cache_shards ?result_cache ?corpora t ~queue_depth =
   let b = Buffer.create 512 in
@@ -281,13 +284,6 @@ let to_json ?cache_shards ?result_cache ?corpora t ~queue_depth =
       labels;
     Buffer.add_char bb '}';
     Buffer.contents bb
-  in
-  let hist_json s =
-    Printf.sprintf "{\"count\":%d,\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f}"
-      (snap_total s)
-      (percentile_of_snap s 0.50)
-      (percentile_of_snap s 0.95)
-      (percentile_of_snap s 0.99)
   in
   Buffer.add_char b '{';
   field true "uptime_s"
@@ -373,36 +369,34 @@ let to_json ?cache_shards ?result_cache ?corpora t ~queue_depth =
        (Atomic.get t.scrub_quarantined));
   (* pre-rendered by the server, which owns the segment stores *)
   (match corpora with None -> () | Some json -> field false "corpora" json);
+  field false "syscalls"
+    (Printf.sprintf
+       "{\"loop_sends\":%d,\"worker_writes\":%d,\"reads\":%d,\
+        \"epoll_waits\":%d}"
+       (Atomic.get t.loop_sends)
+       (Atomic.get t.worker_writes)
+       (Atomic.get t.reads)
+       (Atomic.get t.epoll_waits));
   field false "dropped_replies" (string_of_int (Atomic.get t.dropped_replies));
   field false "worker_deaths" (string_of_int (Atomic.get t.worker_deaths));
   field false "accept_failures" (string_of_int (Atomic.get t.accept_failures));
   field false "reloads" (string_of_int (Atomic.get t.reloads));
-  (* Latency per op type, with the batched/unbatched split nested so
-     amortised dispatch can be compared against one-at-a-time on the
-     same kind. *)
+  (* Latency per op type *)
   let lat = Buffer.create 64 in
   Buffer.add_char lat '{';
   let wrote = ref false in
   Array.iteri
     (fun i kind ->
-      let su = snap t.hists.(i) in
-      let sb = snap t.hists_batched.(i) in
-      let merged = snap_merge su sb in
-      if snap_total merged > 0 then begin
+      let s = snap t.hists.(i) in
+      if snap_total s > 0 then begin
         if !wrote then Buffer.add_char lat ',';
         Buffer.add_string lat
           (Printf.sprintf
-             "\"%s\":{\"count\":%d,\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f"
-             kind (snap_total merged)
-             (percentile_of_snap merged 0.50)
-             (percentile_of_snap merged 0.95)
-             (percentile_of_snap merged 0.99));
-        if snap_total su > 0 then
-          Buffer.add_string lat
-            (Printf.sprintf ",\"unbatched\":%s" (hist_json su));
-        if snap_total sb > 0 then
-          Buffer.add_string lat (Printf.sprintf ",\"batched\":%s" (hist_json sb));
-        Buffer.add_char lat '}';
+             "\"%s\":{\"count\":%d,\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f}"
+             kind (snap_total s)
+             (percentile_of_snap s 0.50)
+             (percentile_of_snap s 0.95)
+             (percentile_of_snap s 0.99));
         wrote := true
       end)
     kinds;

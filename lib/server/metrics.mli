@@ -25,11 +25,6 @@ val incr_error : t -> err:string -> unit
 (** A typed error reply was sent ([err] is
     {!Protocol.err_to_string}). *)
 
-val incr_overloaded : t -> unit
-(** Shorthand for the queue-full reply: counts both the ["overloaded"]
-    error and the dedicated overload counter. *)
-
-val incr_timeout : t -> unit
 val incr_connections : t -> unit
 
 val incr_connection_shed : t -> unit
@@ -97,16 +92,20 @@ val incr_result_cache_invalidation : t -> unit
 (** The result cache was flushed (SIGHUP revalidate, or an engine-cache
     eviction of a corrupt/unopenable container). *)
 
-val record_latency : ?batched:bool -> t -> kind:string -> seconds:float -> unit
-(** [batched] (default [false]) routes the sample into the per-kind
-    {e batched-dispatch} histogram instead of the unbatched one, so the
-    two execution paths stay comparable per op type; every reader that
-    does not care about the split sees the merged histogram. *)
+val record_latency : t -> kind:string -> seconds:float -> unit
+
+val incr_loop_send : t -> unit
+val incr_worker_write : t -> unit
+val incr_read : t -> unit
+val incr_epoll_wait : t -> unit
+(** The daemon's own socket syscalls: each send(2) of the accept loop
+    (refused ones included), each blocking reply write of a worker (a
+    write(2), repeated only if the socket takes the bytes in parts),
+    each read(2) of a connection and each readiness wait. *)
 
 (** {2 Reading} *)
 
 val requests_received : t -> kind:string -> int
-val requests_ok : t -> kind:string -> int
 val errors : t -> err:string -> int
 val overloaded : t -> int
 val timeouts : t -> int
@@ -117,15 +116,9 @@ val reloads : t -> int
 val connections_shed : t -> int
 
 val gc_minor_words : t -> int
-(** Total minor-heap words allocated by reporting domains (as are the
-    other [gc_] readers; see {!gc_sampler} for who reports). *)
+(** Total minor-heap words allocated by reporting domains (see
+    {!gc_sampler} for who reports). *)
 
-val gc_major_words : t -> int
-(** Major-heap words, promoted words included (the raw [Gc.major_words]
-    view). *)
-
-val gc_minor_collections : t -> int
-val gc_major_collections : t -> int
 val result_cache_hits : t -> int
 val result_cache_misses : t -> int
 val result_cache_bypassed : t -> int
@@ -138,7 +131,6 @@ val record_scrub_pass :
     checksum-walked, how many failed, how many were evicted to
     quarantine (see {!Pti_segment.Segment_store.scrub}). *)
 
-val scrub_passes : t -> int
 val scrub_corrupt : t -> int
 val scrub_quarantined : t -> int
 
@@ -150,10 +142,10 @@ val batched_jobs : t -> int
 
 val max_batch_size : t -> int
 
-val percentile_us : t -> kind:string -> float -> float
-(** [percentile_us m ~kind q] with [q] in [0, 1]: approximate latency
-    percentile in microseconds over every recorded request of the kind
-    (batched and unbatched merged); [nan] when none were recorded. *)
+val loop_sends : t -> int
+val worker_writes : t -> int
+val reads : t -> int
+val epoll_waits : t -> int
 
 val to_json :
   ?cache_shards:(int * int * int * int) array ->
@@ -164,8 +156,8 @@ val to_json :
   string
 (** The whole registry as a JSON object (counters by kind, error
     counts, cache hit/miss, queue depth gauge + histogram percentiles,
-    batch-size histogram, p50/p95/p99 per kind with the
-    batched/unbatched split, uptime). [cache_shards] (from
+    batch-size histogram, the daemon's own syscall counts, p50/p95/p99
+    per kind, uptime). [cache_shards] (from
     {!Engine_cache.shard_stats}) adds a per-shard cache stats array;
     [result_cache] — (entries, bytes, capacity_bytes, evictions) from
     {!Result_cache.stats} — adds the result cache's size gauges to its

@@ -1,6 +1,6 @@
-(* The serving daemon: epoll-based accept loop + worker domains behind
-   a bounded request queue, drained in batches. See the mli and
-   DESIGN.md §10/§12. *)
+(* The serving daemon: an epoll-based accept loop that answers cache
+   hits and cheap misses itself, and worker domains behind a bounded
+   request queue for the rest. See the mli and DESIGN.md §10/§12. *)
 
 module G = Pti_core.General_index
 module L = Pti_core.Listing_index
@@ -156,8 +156,9 @@ type job = {
   mutable jtoken : waiter Result_cache.token option;
 }
 
-(* What the accept loop answered itself during one read: the inline
-   cache hits, whose latency is recorded once their bytes are sent. *)
+(* What the accept loop answered itself during one read: the cache hits
+   and misses it ran, whose latency is recorded once their bytes are
+   sent. *)
 type inline = {
   mutable n : int;
   mutable kinds : string array;
@@ -362,27 +363,30 @@ let discard conn =
   pend_consume conn.pend conn.pend.len
 
 (* A worker's flush: blocking, like the frames that follow it. *)
-let flush_pend conn =
+let flush_pend t conn =
   take_handoff conn;
   let pb = conn.pend in
   if pb.len > 0 then begin
+    Metrics.incr_worker_write t.metrics;
     P.write_sub conn.fd pb.data pb.start pb.len;
     pend_consume pb pb.len
   end
 
 (* The loop's send: flush what is pending, then [b[off, off+len)],
    without ever waiting; whatever the socket refuses stays in [pend]. *)
-let send_nonblock conn b off len =
+let send_nonblock t conn b off len =
   take_handoff conn;
   let pb = conn.pend in
   let full = ref false in
   while pb.len > 0 && not !full do
+    Metrics.incr_loop_send t.metrics;
     match Pti_epoll.send conn.fd pb.data pb.start pb.len with
     | -1 -> full := true
     | n -> pend_consume pb n
   done;
   let off = ref off and len = ref len in
   while !len > 0 && not !full do
+    Metrics.incr_loop_send t.metrics;
     match Pti_epoll.send conn.fd b !off !len with
     | -1 -> full := true
     | n ->
@@ -395,21 +399,20 @@ let send_nonblock conn b off len =
    looks again after unlocking, since the loop may have handed bytes
    off between the holder's last look and its unlock (the loop, after
    handing off, tries the lock once more for the same reason). *)
-let rec drain_handoff conn =
+let rec drain_handoff t conn =
   if Atomic.get conn.handoff <> [] && Mutex.try_lock conn.write_m then begin
-    (try if conn.alive then flush_pend conn else discard conn
+    (try if conn.alive then flush_pend t conn else discard conn
      with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false);
     Mutex.unlock conn.write_m;
-    drain_handoff conn
+    drain_handoff t conn
   end
 
-(* Write a batch of replies to one connection from a worker: encode
-   them all into the connection's pooled write buffer under [write_m],
-   then write once — a batched group's replies leave in a single
-   syscall (and, with TCP_NODELAY, a single segment train) instead of
-   one write per reply. *)
+(* Write a popped batch's replies to one connection from a worker:
+   encode them all into the connection's pooled write buffer under
+   [write_m], then write once — one syscall (and, with TCP_NODELAY, a
+   single segment train) instead of one write per reply. *)
 let write_outcomes t conn items =
-  let n = List.length items in
+  let dropped () = List.iter (fun _ -> Metrics.incr_dropped_replies t.metrics) items in
   Mutex.lock conn.write_m;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock conn.write_m)
@@ -419,30 +422,25 @@ let write_outcomes t conn items =
         P.Wbuf.reset b;
         List.iter (fun (id, o) -> encode_outcome b conn ~id o) items;
         try
-          flush_pend conn;
-          (match Pti_fault.hit "server.reply" with
+          flush_pend t conn;
+          Metrics.incr_worker_write t.metrics;
+          match Pti_fault.hit "server.reply" with
           | Some short ->
               (* injected torn reply: a prefix goes out, then the
                  "connection" breaks *)
-              P.write_all conn.fd
-                (String.sub (P.Wbuf.contents b) 0
-                   (Stdlib.min short (P.Wbuf.length b)));
+              P.write_sub conn.fd (P.Wbuf.unsafe_data b) 0
+                (Stdlib.min short (P.Wbuf.length b));
               raise (Unix.Unix_error (Unix.EPIPE, "write", "failpoint"))
-          | None -> ());
-          P.write_wbuf conn.fd b
+          | None -> P.write_wbuf conn.fd b
         with Unix.Unix_error _ | Sys_error _ ->
           conn.alive <- false;
-          for _ = 1 to n do
-            Metrics.incr_dropped_replies t.metrics
-          done
+          dropped ()
       end
       else begin
         discard conn;
-        for _ = 1 to n do
-          Metrics.incr_dropped_replies t.metrics
-        done
+        dropped ()
       end);
-  drain_handoff conn
+  drain_handoff t conn
 
 (* Write replies grouped by connection (physical equality; a batch
    rarely spans more than a handful of conns), one coalesced write
@@ -472,11 +470,18 @@ let loop_error t conn ~id err msg =
   loop_reply t conn ~id (P.Error (err, msg))
 
 (* Send [b[off, off+len)] from the loop if [write_m] is free; [Some
-   pending] says whether unsent bytes are left in [pend]. *)
-let loop_send conn b off len =
+   pending] says whether unsent bytes are left in [pend]. Replies pass
+   the [server.reply] failpoint here as they do on the workers' path. *)
+let loop_send t conn b off len =
   if Mutex.try_lock conn.write_m then begin
     (try
-       if conn.alive then send_nonblock conn b off len else discard conn
+       if not conn.alive then discard conn
+       else
+         match if len > 0 then Pti_fault.hit "server.reply" else None with
+         | Some short ->
+             send_nonblock t conn b off (Stdlib.min short len);
+             raise (Unix.Unix_error (Unix.EPIPE, "send", "failpoint"))
+         | None -> send_nonblock t conn b off len
      with Unix.Unix_error _ -> conn.alive <- false);
     let pending = conn.alive && conn.pend.len > 0 in
     Mutex.unlock conn.write_m;
@@ -486,14 +491,15 @@ let loop_send conn b off len =
 
 (* Send what the loop encoded for [conn] during this read; [true] when
    bytes are left pending and the loop must stop reading [conn] until
-   they are out. A busy [write_m] hands the bytes to its holder. Inline hits record
-   their latency here, decode to send. *)
+   they are out. A busy [write_m] hands the bytes to its holder. The
+   queries the loop answered record their latency here, decode to
+   send. *)
 let loop_flush t conn =
   let b = t.lout in
   let pending =
     if P.Wbuf.length b = 0 then false
     else
-      match loop_send conn (P.Wbuf.unsafe_data b) 0 (P.Wbuf.length b) with
+      match loop_send t conn (P.Wbuf.unsafe_data b) 0 (P.Wbuf.length b) with
       | Some pending -> pending
       | None -> (
           let s = P.Wbuf.contents b in
@@ -502,7 +508,7 @@ let loop_flush t conn =
             if not (Atomic.compare_and_set conn.handoff l (s :: l)) then push ()
           in
           push ();
-          match loop_send conn Bytes.empty 0 0 with
+          match loop_send t conn Bytes.empty 0 0 with
           | Some p -> p
           | None -> (
               (* the holder sends them; if it has not yet taken an
@@ -573,35 +579,42 @@ let corpus_only index =
       Printf.sprintf "index %d is not a dynamic corpus (mutations need --corpus)"
         index )
 
-let execute t op =
+(* [handle], when given, is the engine every index id resolves to: the
+   accept loop passes the handle it looked up without blocking. *)
+let execute ?max_range ?handle t op =
+  let resolve index =
+    match handle with Some h -> Ok (R_engine h) | None -> resolve t index
+  in
   match op with
   | P.Query { index; pattern; tau } -> (
-      match resolve t index with
+      match resolve index with
       | Result.Error (e, m) -> P.Error (e, m)
       | Ok (R_engine (General g)) ->
-          P.Hits (hits_of (G.query g ~pattern:(Sym.of_string pattern) ~tau))
+          P.Hits (hits_of (G.query ?max_range g ~pattern:(Sym.of_string pattern) ~tau))
       | Ok (R_engine (Listing l)) ->
-          P.Hits (hits_of (L.query l ~pattern:(Sym.of_string pattern) ~tau))
+          P.Hits (hits_of (L.query ?max_range l ~pattern:(Sym.of_string pattern) ~tau))
       | Ok (R_corpus s) ->
           P.Hits (hits_of (Store.query s ~pattern:(Sym.of_string pattern) ~tau)))
   | P.Top_k { index; pattern; tau; k } -> (
-      match resolve t index with
+      match resolve index with
       | Result.Error (e, m) -> P.Error (e, m)
       | Ok (R_engine (General g)) ->
           P.Hits
-            (hits_of (G.query_top_k g ~pattern:(Sym.of_string pattern) ~tau ~k))
+            (hits_of
+               (G.query_top_k ?max_range g ~pattern:(Sym.of_string pattern) ~tau ~k))
       | Ok (R_engine (Listing l)) ->
           P.Hits
-            (hits_of (L.query_top_k l ~pattern:(Sym.of_string pattern) ~tau ~k))
+            (hits_of
+               (L.query_top_k ?max_range l ~pattern:(Sym.of_string pattern) ~tau ~k))
       | Ok (R_corpus s) ->
           P.Hits
             (hits_of
                (Store.query_top_k s ~pattern:(Sym.of_string pattern) ~tau ~k)))
   | P.Listing { index; pattern; tau } -> (
-      match resolve t index with
+      match resolve index with
       | Result.Error (e, m) -> P.Error (e, m)
       | Ok (R_engine (Listing l)) ->
-          P.Hits (hits_of (L.query l ~pattern:(Sym.of_string pattern) ~tau))
+          P.Hits (hits_of (L.query ?max_range l ~pattern:(Sym.of_string pattern) ~tau))
       | Ok (R_corpus s) ->
           (* a corpus IS a listing collection; same reply as Query *)
           P.Hits (hits_of (Store.query s ~pattern:(Sym.of_string pattern) ~tau))
@@ -610,17 +623,17 @@ let execute t op =
             ( P.Bad_request,
               Printf.sprintf "index %d is not a listing index" index ))
   | P.Insert { index; doc } -> (
-      match resolve t index with
+      match resolve index with
       | Result.Error (e, m) -> P.Error (e, m)
       | Ok (R_corpus s) -> P.Ack (Store.insert s (U.parse doc))
       | Ok (R_engine _) -> corpus_only index)
   | P.Delete { index; doc_id } -> (
-      match resolve t index with
+      match resolve index with
       | Result.Error (e, m) -> P.Error (e, m)
       | Ok (R_corpus s) -> P.Ack (if Store.delete s doc_id then 1 else 0)
       | Ok (R_engine _) -> corpus_only index)
   | P.Flush { index } -> (
-      match resolve t index with
+      match resolve index with
       | Result.Error (e, m) -> P.Error (e, m)
       | Ok (R_corpus s) ->
           let t0 = Unix.gettimeofday () in
@@ -639,8 +652,11 @@ let execute t op =
       (* answered inline by the accept loop; unreachable here *)
       P.Error (P.Server_error, "inline op reached a worker")
 
-let execute_one t job =
-  try execute t job.jop with
+(* Every failure becomes a typed reply, except [Over_budget]: the loop
+   hands such a query to a worker. *)
+let execute_one ?max_range ?handle t op =
+  try execute ?max_range ?handle t op with
+  | Pti_core.Engine.Over_budget as e -> raise e
   | Invalid_argument m | Failure m -> P.Error (P.Bad_request, m)
   | Pti_storage.Corrupt { section; reason } ->
       P.Error (P.Bad_index, Printf.sprintf "corrupt %s: %s" section reason)
@@ -653,107 +669,15 @@ let execute_one t job =
             disk_gen mem_gen )
   | e -> P.Error (P.Server_error, Printexc.to_string e)
 
-let record_finish t ~batched ~kind ~arrival outcome =
-  (match outcome with
+let record_outcome t ~kind = function
   | O_value (P.Error (e, _)) ->
       Metrics.incr_error t.metrics ~err:(P.err_to_string e)
-  | O_value _ | O_cached _ -> Metrics.incr_ok t.metrics ~kind);
-  Metrics.record_latency ~batched t.metrics ~kind
+  | O_value _ | O_cached _ -> Metrics.incr_ok t.metrics ~kind
+
+let record_finish t ~kind ~arrival outcome =
+  record_outcome t ~kind outcome;
+  Metrics.record_latency t.metrics ~kind
     ~seconds:(Unix.gettimeofday () -. arrival)
-
-(* Batched dispatch. Threshold queries (and listing queries) against
-   one index are compatible: they collapse into a single
-   [Engine.query_batch] call, which runs the exact per-pattern [query]
-   code into result slots — replies are byte-for-byte what
-   one-at-a-time dispatch would produce (floats travel as raw IEEE-754
-   bits, and [G.query]/[L.query] are precisely what [query_batch]
-   applies per slot). [~domains:1] keeps the batch on this worker
-   domain: parallelism across requests comes from the worker pool,
-   batching only amortises dispatch, cache lookups and pattern
-   transforms. Anything that can fail per job inside a batch (a bad
-   pattern, τ < τ_min, a kind mismatch) falls back to the
-   one-at-a-time path for the whole group, so error replies are also
-   identical to unbatched dispatch. *)
-type group_key = Gquery of int | Glisting of int
-
-(* Only engine-backed indexes batch: corpus queries take the
-   one-at-a-time path, where scatter-gather across the memtable and
-   segments already amortises internally. *)
-let engine_index t index =
-  index >= 0
-  && index < Array.length t.sources
-  && match t.sources.(index) with Source_corpus _ -> false | _ -> true
-
-let group_key t job =
-  match job.jop with
-  | P.Query { index; _ } when engine_index t index -> Some (Gquery index)
-  | P.Listing { index; _ } when engine_index t index -> Some (Glisting index)
-  | _ -> None
-
-let run_group t key jobs =
-  let index = match key with Gquery i | Glisting i -> i in
-  match resolve t index with
-  | Result.Error (e, m) -> List.map (fun j -> (j, P.Error (e, m))) jobs
-  | Ok (R_corpus _) ->
-      (* unreachable via [group_key]; stay total and correct anyway *)
-      List.map (fun j -> (j, execute_one t j)) jobs
-  | Ok (R_engine handle) -> (
-      match
-        let pattern_of j =
-          match j.jop with
-          | P.Query { pattern; tau; _ } | P.Listing { pattern; tau; _ } ->
-              (Sym.of_string pattern, tau)
-          | _ -> assert false
-        in
-        let patterns = Array.of_list (List.map pattern_of jobs) in
-        let results =
-          match (key, handle) with
-          | Gquery _, General g -> G.query_batch ~domains:1 g ~patterns
-          | (Gquery _ | Glisting _), Listing l ->
-              L.query_batch ~domains:1 l ~patterns
-          | Glisting _, General _ ->
-              (* kind mismatch: identical per-job Bad_request replies
-                 come from the fallback *)
-              raise Exit
-        in
-        List.mapi (fun i j -> (j, P.Hits (hits_of results.(i)))) jobs
-      with
-      | replies -> replies
-      | exception _ -> List.map (fun j -> (j, execute_one t j)) jobs)
-
-(* Execute [jobs] and return every (job, batched?, reply), preserving
-   the grouped batched dispatch above. *)
-let run_jobs t jobs =
-  match jobs with
-  | [] -> []
-  | [ job ] -> [ (job, false, execute_one t job) ]
-  | _ ->
-      let groups : (group_key, job list ref) Hashtbl.t = Hashtbl.create 8 in
-      let order = ref [] in
-      let singles = ref [] in
-      List.iter
-        (fun job ->
-          match group_key t job with
-          | None -> singles := job :: !singles
-          | Some k -> (
-              match Hashtbl.find_opt groups k with
-              | Some r -> r := job :: !r
-              | None ->
-                  Hashtbl.add groups k (ref [ job ]);
-                  order := k :: !order))
-        jobs;
-      let out = ref [] in
-      let single j = out := (j, false, execute_one t j) :: !out in
-      List.iter
-        (fun k ->
-          match List.rev !(Hashtbl.find groups k) with
-          | [ j ] -> single j
-          | group ->
-              (* run_group answers in the order it is given *)
-              List.iter (fun (j, r) -> out := (j, true, r) :: !out) (run_group t k group))
-        (List.rev !order);
-      List.iter single (List.rev !singles);
-      List.rev !out
 
 (* Cache key for a job. Corpus-backed indexes suffix the manifest
    version: a mutation bumps the version, making every old key
@@ -776,14 +700,13 @@ let cache_key t op =
         | Source_corpus s -> Some (key ^ Printf.sprintf "#g%d" (Store.version s))
         | _ -> Some key)
 
-(* Settle the flight [job] owns, if any, with its [reply]: cacheable
-   replies ([Hits], including empty ones — negative caching) fill the
-   cache, anything else cancels, so errors are never cached. Returns
-   the outcome to send and every request that gets it: the job first,
-   then the waiters that joined its flight. *)
-let settle t job reply =
+(* Settle a flight [token], if any, with its [reply]: cacheable replies
+   ([Hits], including empty ones — negative caching) fill the cache,
+   anything else cancels, so errors are never cached. Returns the
+   outcome to send and the waiters that joined the flight. *)
+let settle t token reply =
   let o, waiters =
-    match (t.rcache, job.jtoken, reply) with
+    match (t.rcache, token, reply) with
     | Some rc, Some tok, P.Hits _ ->
         let cached =
           { Result_cache.ctag = P.reply_tag reply; cbody = P.encode_reply_body reply }
@@ -792,9 +715,16 @@ let settle t job reply =
     | Some rc, Some tok, _ -> (O_value reply, Result_cache.cancel rc tok)
     | _ -> (O_value reply, [])
   in
-  job.jtoken <- None;
   if waiters <> [] then
     ignore (Atomic.fetch_and_add t.joined (-List.length waiters) : int);
+  (o, waiters)
+
+(* Settle the flight [job] owns: every request that gets the outcome,
+   the job first. *)
+let settle_job t job reply =
+  let token = job.jtoken in
+  job.jtoken <- None;
+  let o, waiters = settle t token reply in
   let own =
     { wconn = job.jconn; wid = job.jid; wkind = job.jkind; warrival = job.arrival }
   in
@@ -803,20 +733,17 @@ let settle t job reply =
 (* Answer [job] (and its flight's waiters) with [reply] without running
    it: a drain or deadline refusal, or a job a dying batch dropped. *)
 let refuse t job reply =
-  let o, dests = settle t job reply in
-  List.iter
-    (fun w -> record_finish t ~batched:false ~kind:w.wkind ~arrival:w.warrival o)
-    dests;
+  let o, dests = settle_job t job reply in
+  List.iter (fun w -> record_finish t ~kind:w.wkind ~arrival:w.warrival o) dests;
   deliver t (List.map (fun w -> (w.wconn, w.wid, o)) dests)
 
-(* Drain one batch of jobs through the engine. Cache lookups already
+(* Run a popped batch of jobs, one by one. Cache lookups already
    happened on the accept loop: a job here either owns its key's
-   flight ([jtoken]) or runs uncached. The batch executes (grouped and
-   batched as above), every token is settled and the replies — the
-   jobs' and their waiters' — go out one coalesced write per
-   connection. Nothing here waits on another worker. A token is
-   settled even if execution dies mid-batch: the [finally] answers
-   the job and its waiters with a typed error. *)
+   flight ([jtoken]) or runs uncached. Every token is settled and the
+   replies — the jobs' and their waiters' — go out one coalesced write
+   per connection. Nothing here waits on another worker. A token is
+   settled even if execution dies mid-batch: the [finally] answers the
+   job and its waiters with a typed error. *)
 let execute_jobs t jobs =
   Fun.protect
     ~finally:(fun () ->
@@ -828,14 +755,14 @@ let execute_jobs t jobs =
     (fun () ->
       let items = ref [] in
       List.iter
-        (fun (job, batched, reply) ->
-          let o, dests = settle t job reply in
+        (fun job ->
+          let o, dests = settle_job t job (execute_one t job.jop) in
           List.iter
             (fun w ->
-              record_finish t ~batched ~kind:w.wkind ~arrival:w.warrival o;
+              record_finish t ~kind:w.wkind ~arrival:w.warrival o;
               items := (w.wconn, w.wid, o) :: !items)
             dests)
-        (run_jobs t jobs);
+        jobs;
       deliver t (List.rev !items))
 
 let worker_loop t =
@@ -855,8 +782,7 @@ let worker_loop t =
         Metrics.record_batch_size t.metrics (List.length jobs);
         let now = Unix.gettimeofday () in
         (* drain-expired and deadline-expired jobs get their typed
-           replies first, exactly as the unbatched loop answered them;
-           their waiters get the same reply *)
+           replies first; their waiters get the same reply *)
         let runnable =
           List.filter
             (fun job ->
@@ -957,12 +883,55 @@ let add_inline t ~kind ~arrival =
   inl.arrivals.(inl.n) <- arrival;
   inl.n <- inl.n + 1
 
-(* Where a request is answered: Stats, Ping, refusals and result-cache
-   hits right here on the accept loop (into [t.lout], sent once the
-   read's input is processed); a key in flight joins its owner, who
-   answers it; everything else is queued for a worker, carrying the
-   flight token it must settle, if the lookup gave it one. The cache
-   lookup happens here, once per request (twice to join a flight). *)
+let loop_range_budget = 16
+let loop_pattern_max = 32
+
+(* The engine a query may run against on the loop: an in-memory index,
+   or a container some worker already opened. Corpus sources, cold or
+   busy files, patterns longer than [loop_pattern_max] (their decoding,
+   validation and range search grow with the length, which the range
+   budget does not bound) and every other op have none. *)
+let loop_handle t op =
+  match op with
+  | P.Query { index; pattern; _ }
+  | P.Top_k { index; pattern; _ }
+  | P.Listing { index; pattern; _ }
+    when index >= 0
+         && index < Array.length t.sources
+         && String.length pattern <= loop_pattern_max -> (
+      match t.sources.(index) with
+      | Source_general g -> Some (General g)
+      | Source_listing l -> Some (Listing l)
+      | Source_file path -> Engine_cache.find_open t.cache ~metrics:t.metrics path
+      | Source_corpus _ -> None)
+  | _ -> None
+
+(* A result-cache miss (or an uncached op): run right here when it is
+   a cheap engine query, its reply joining the read's single send;
+   otherwise queue it for a worker with the flight [token]. A flight
+   the loop owns has no waiters: only the loop joins flights, and it
+   settles this one before it decodes the next request. *)
+let miss t conn ~id ~kind ~now op token =
+  match loop_handle t op with
+  | None -> enqueue t conn ~id ~kind ~now op token
+  | Some handle -> (
+      match execute_one ~max_range:loop_range_budget ~handle t op with
+      | exception Pti_core.Engine.Over_budget ->
+          enqueue t conn ~id ~kind ~now op token
+      | reply ->
+          let o, waiters = settle t token reply in
+          assert (waiters = []);
+          record_outcome t ~kind o;
+          encode_outcome t.lout conn ~id o;
+          add_inline t ~kind ~arrival:now)
+
+(* Where a request is answered: Stats, Ping, refusals, result-cache
+   hits and cheap misses right here on the accept loop (into [t.lout],
+   sent once the read's input is processed); a key in flight joins its
+   owner, who answers it; everything else is queued for a worker,
+   carrying the flight token it must settle, if the lookup gave it
+   one. The cache lookup happens here, once per request (twice to join
+   a flight). *)
 let dispatch t conn (req : P.request) =
   let kind = P.op_kind req.op in
   Metrics.incr_received t.metrics ~kind;
@@ -1004,9 +973,9 @@ let dispatch t conn (req : P.request) =
               add_inline t ~kind ~arrival:now
           | Result_cache.Joined -> ()
           | Result_cache.Busy -> overloaded t conn ~id:req.id
-          | Result_cache.Fresh tok -> enqueue t conn ~id:req.id ~kind ~now op (Some tok)
-          | Result_cache.Bypass -> enqueue t conn ~id:req.id ~kind ~now op None)
-      | _ -> enqueue t conn ~id:req.id ~kind ~now op None)
+          | Result_cache.Fresh tok -> miss t conn ~id:req.id ~kind ~now op (Some tok)
+          | Result_cache.Bypass -> miss t conn ~id:req.id ~kind ~now op None)
+      | _ -> miss t conn ~id:req.id ~kind ~now op None)
 
 (* A JSON connection whose pending input holds no newline is a client
    that either streams an oversized line or never frames at all; cap it
@@ -1345,7 +1314,7 @@ let run t =
      leaves the readiness set meanwhile, since it would report
      writable on every wait, and [tick] retries every millisecond. *)
   let resume conn =
-    match loop_send conn Bytes.empty 0 0 with
+    match loop_send t conn Bytes.empty 0 0 with
     | Some true -> watch conn Pti_epoll.Writable
     | Some false ->
         conn.stalled_since <- infinity;
@@ -1364,6 +1333,7 @@ let run t =
     let rb = conn.rbuf in
     let want = if rb.len >= 4096 then 65536 else 4096 in
     rbuf_room rb want;
+    Metrics.incr_read t.metrics;
     match Unix.read conn.fd rb.data (rb.start + rb.len) want with
     | 0 -> close_conn conn
     | n ->
@@ -1453,6 +1423,7 @@ let run t =
               else read_conn conn
           | None -> ())
       (let ready =
+         Metrics.incr_epoll_wait t.metrics;
          Pti_epoll.wait ep ~timeout_ms:(if !nparked > 0 then 1 else timeout_ms)
        in
        handle_flags ();

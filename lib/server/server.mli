@@ -3,22 +3,21 @@
     One accept loop (the domain that calls {!run}) multiplexes every
     connection through a {!Pti_epoll} readiness set (epoll on Linux,
     poll elsewhere — no [FD_SETSIZE] connection ceiling) and parses
-    complete frames. It answers [Stats], [Ping], refusals and
-    result-cache hits itself, with one cache lookup per request; a
-    request whose key is being computed joins that computation and is
-    answered by the worker that owns it; everything else — stamped
-    with an arrival time and a deadline — goes to a bounded
-    {!Pti_parallel.Bqueue}. Worker domains drain the queue in
-    {e batches} ({!Pti_parallel.Bqueue.pop_batch}): threshold/listing
-    queries against one index collapse into a single
-    {!Pti_core.Engine.query_batch} call, amortising dispatch, cache
-    lookup and pattern-transform costs; replies are byte-for-byte
-    identical to one-at-a-time dispatch (§12 gives the argument).
-    Queries are pure reads of immutable engines, so workers share
-    handles with no locking; the only synchronisation on the hot path is
-    the queue itself, the result-cache and engine-cache shard mutexes,
-    and a per-connection write mutex (replies from different workers
-    and the loop may interleave on one pipelined connection).
+    complete frames. It answers [Stats], [Ping], refusals, result-cache
+    hits (one cache lookup per request) and cheap misses itself: engine
+    queries on an in-memory index or an already open container whose
+    pattern has at most {!loop_pattern_max} symbols and whose suffix
+    range holds at most {!loop_range_budget} entries. A request
+    whose key is being computed joins that computation. Everything else
+    — heavier queries, cold containers, corpora, mutations, [Slow] —
+    goes, with an arrival time and a deadline, to a bounded
+    {!Pti_parallel.Bqueue}; worker domains pop up to [batch_max] jobs
+    at a time and run them one by one. Queries are pure reads of
+    immutable engines, so the loop and the workers share handles with
+    no locking; the only synchronisation on the hot path is the queue
+    itself, the result-cache and engine-cache shard mutexes, and a
+    per-connection write mutex (replies from different workers and the
+    loop may interleave on one pipelined connection).
 
     Backpressure is explicit: when queued requests plus requests
     waiting on an in-flight computation reach [queue_cap], the accept
@@ -97,8 +96,9 @@ type config = {
       (** Upper bound on one line of the JSON fallback protocol
           (default {!Protocol.max_json_line}, 1 MiB). *)
   batch_max : int;
-      (** Most jobs a worker drains from the queue in one batched pop
-          (default 32). [1] disables batching entirely. *)
+      (** Most jobs a worker takes from the queue in one pop (default
+          32); it runs them one by one and writes each connection's
+          replies together. *)
   result_cache_mb : int;
       (** Byte budget (MiB) of the server-side query-result cache
           (default 64; [0] disables it). The cache stores {e encoded}
@@ -148,6 +148,19 @@ val create : ?config:config -> source list -> t
     so a missing/corrupt file is a per-request [Bad_index] reply, not a
     startup failure. The engine cache is sharded per worker domain
     (paths hash to a shard; see {!Engine_cache.create}). *)
+
+val loop_range_budget : int
+(** The most suffix-array entries a result-cache miss may cover and
+    still run on the accept loop (16). The range size bounds the
+    query's work ({!Pti_core.Engine.query}'s [max_range]); a larger
+    range goes to a worker. DESIGN.md §12.5 gives its measured
+    worst-case cost (about 5 µs). *)
+
+val loop_pattern_max : int
+(** The longest pattern (32 symbols) a result-cache miss may have and
+    still run on the accept loop. Decoding, validating and range-searching
+    a pattern grow with its length, which {!loop_range_budget} does not
+    bound; a longer pattern goes to a worker. *)
 
 val port : t -> int
 (** The actually bound port (useful with [port = 0]). *)

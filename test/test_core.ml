@@ -420,6 +420,37 @@ let prop_general_matches_oracle =
       let g = G.build ~tau_min u in
       H.sorted_fst (G.query g ~pattern:pat ~tau) = oracle_positions u pat tau)
 
+(* [max_range]: a suffix range over the budget raises Over_budget, for
+   short and long patterns and for top-k alike; within it the answer is
+   the unbudgeted one. *)
+let test_work_budget () =
+  let rng = H.rng_of_seed 57 in
+  for _ = 1 to 300 do
+    let u = H.random_ustring rng (20 + Random.State.int rng 60) 3 3 in
+    let tau_min = 0.05 +. Random.State.float rng 0.2 in
+    let g = G.build ~tau_min u in
+    let tau = tau_min +. Random.State.float rng (0.9 -. tau_min) in
+    let pat = H.random_pattern rng u 14 in
+    let budget = Random.State.int rng 12 in
+    let size =
+      match Engine.suffix_range (G.engine g) ~pattern:pat with
+      | None -> 0
+      | Some (l, r) -> r - l + 1
+    in
+    let within f unbudgeted =
+      match f () with
+      | got ->
+          Alcotest.(check bool) "within budget" true (size <= budget);
+          Alcotest.(check bool) "same answer" true (got = unbudgeted)
+      | exception Engine.Over_budget ->
+          Alcotest.(check bool) "over budget" true (size > budget)
+    in
+    within (fun () -> G.query ~max_range:budget g ~pattern:pat ~tau)
+      (G.query g ~pattern:pat ~tau);
+    within (fun () -> G.query_top_k ~max_range:budget g ~pattern:pat ~tau ~k:3)
+      (G.query_top_k g ~pattern:pat ~tau ~k:3)
+  done
+
 let () =
   Alcotest.run "pti_core"
     [
@@ -432,6 +463,7 @@ let () =
           Alcotest.test_case "with correlations" `Quick test_general_correlated;
           Alcotest.test_case "all configs agree" `Slow test_config_variants_agree;
           Alcotest.test_case "invalid queries" `Quick test_invalid_queries;
+          Alcotest.test_case "work budget" `Quick test_work_budget;
           QCheck_alcotest.to_alcotest prop_general_matches_oracle;
         ] );
       ( "special",

@@ -83,6 +83,41 @@ let check_hits name want got =
       Alcotest.failf "%s: unexpected error %s (%s)" name (P.err_to_string e) m
   | _ -> Alcotest.failf "%s: unexpected reply" name
 
+(* Suffix-range size of [pattern] in an engine: the work bound the
+   accept loop checks against [Server.loop_range_budget]. *)
+let range_size engine pattern =
+  match Pti_core.Engine.suffix_range engine ~pattern:(Sym.of_string pattern) with
+  | None -> 0
+  | Some (l, r) -> r - l + 1
+
+(* The queue tests send pattern "A" so that it reaches a worker: its
+   suffix range on both fixture indexes is over the loop's budget. *)
+let a_over_budget () =
+  let _, _, g, l, _, _ = Lazy.force fixture in
+  List.iter
+    (fun (name, engine) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "\"A\" on the %s fixture (%d entries) is over budget"
+           name (range_size engine "A"))
+        true
+        (range_size engine "A" > Server.loop_range_budget))
+    [ ("general", G.engine g); ("listing", L.engine l) ]
+
+(* [n] distinct patterns drawn from [source] whose suffix range in
+   [engine] is non-empty and within the loop's budget. *)
+let cheap_patterns ~seed engine source n =
+  let rng = Q.state ~seed () in
+  let rec go acc k =
+    if k = 0 then List.rev acc
+    else
+      let pat = Sym.to_string (Q.pattern rng source ~m:(2 + Random.State.int rng 3)) in
+      let size = range_size engine pat in
+      if List.mem pat acc || size = 0 || size > Server.loop_range_budget then
+        go acc k
+      else go (pat :: acc) (k - 1)
+  in
+  go [] n
+
 (* ------------------------------------------------------------------ *)
 (* Protocol roundtrips (no server involved) *)
 
@@ -476,6 +511,7 @@ let test_overload () =
      cap must get explicit Overloaded replies, while Ping/Stats stay
      answered inline *)
   let _, _, g, _, _, _ = Lazy.force fixture in
+  a_over_budget ();
   let config =
     {
       (base_config 1) with
@@ -538,6 +574,7 @@ let test_timeout () =
   (* a request stuck behind a slow one past its deadline is answered
      Timeout by the worker that dequeues it *)
   let _, _, g, _, _, _ = Lazy.force fixture in
+  a_over_budget ();
   let config =
     { (base_config 1) with debug_slow = true; deadline_ms = 80.0 }
   in
@@ -770,12 +807,14 @@ let test_reply_handed_to_writer () =
           with_conn port (fun fd ->
               warm fd hot_op;
               let n, _, hits = overflowing_hits g in
-              (* a miss first (the worker's write), then cached hits *)
-              let miss = P.Query { index = 0; pattern = "C"; tau = 0.2 } in
-              let reqs =
-                P.encode_request { P.id = 0; op = miss } ^ Buffer.contents hits
-              in
+              (* a miss over the loop's budget first (the worker's
+                 write), then cached hits *)
+              a_over_budget ();
+              let miss = P.Query { index = 0; pattern = "A"; tau = 0.2 } in
               F.arm "server.reply" (F.Delay 300) (F.Nth 1);
+              P.write_all fd (P.encode_request { P.id = 0; op = miss });
+              Unix.sleepf 0.05;
+              let reqs = Buffer.contents hits in
               let writer = Domain.spawn (fun () -> P.write_all fd reqs) in
               Unix.sleepf 0.2;
               Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
@@ -791,12 +830,263 @@ let test_reply_handed_to_writer () =
               | 7, P.Pong -> ()
               | _ -> Alcotest.fail "ping after the stall")))
 
+let test_torn_hit_reply () =
+  (* the server.reply failpoint covers the replies the loop sends too:
+     a cached hit's reply is cut short and the connection breaks. The
+     key is cheap, so no worker ever holds the connection's write
+     mutex and every reply leaves through the loop's own send. *)
+  let _, _, g, _, _, _ = Lazy.force fixture in
+  let pattern = List.hd (cheap_patterns ~seed:60 (G.engine g) (G.source g) 1) in
+  let op = P.Query { index = 0; pattern; tau = 0.2 } in
+  with_faults (fun () ->
+      with_server [ Server.Source_general g ] (fun srv port ->
+          with_conn port (fun fd ->
+              warm fd op;
+              Alcotest.(check int) "no worker wrote" 0
+                (Pti_server.Metrics.worker_writes (Server.metrics srv));
+              F.arm "server.reply" (F.Short_write 2) (F.Nth 1);
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+              P.write_all fd (P.encode_request { P.id = 1; op });
+              (match P.read_frame fd with
+              | Some _ -> Alcotest.fail "the hit's reply came back whole"
+              | None -> ()
+              | exception (P.Protocol_error _ | Unix.Unix_error _) -> ());
+              Alcotest.(check int) "the hit passed the failpoint" 1
+                (F.hit_count "server.reply"))))
+
+(* ------------------------------------------------------------------ *)
+(* Result-cache misses answered on the accept loop *)
+
+let test_over_budget_queued () =
+  (* with the only worker asleep in a Slow op, a query over the loop's
+     budget waits for it; a cheap miss and a Ping do not *)
+  let _, _, g, _, _, _ = Lazy.force fixture in
+  a_over_budget ();
+  let cheap = List.hd (cheap_patterns ~seed:61 (G.engine g) (G.source g) 1) in
+  let config =
+    { (base_config 1) with debug_slow = true; deadline_ms = 30_000.0 }
+  in
+  with_server ~config [ Server.Source_general g ] (fun srv port ->
+      with_conn port (fun fd ->
+          P.write_all fd (P.encode_request { P.id = 0; op = P.Slow 300 });
+          Unix.sleepf 0.05;
+          List.iter
+            (fun (id, op) -> P.write_all fd (P.encode_request { P.id = id; op }))
+            [
+              (1, P.Query { index = 0; pattern = "A"; tau = 0.5 });
+              (2, P.Query { index = 0; pattern = cheap; tau = tau_min });
+              (3, P.Ping);
+            ];
+          let got =
+            List.init 4 (fun _ ->
+                match P.read_frame fd with
+                | Some payload -> P.decode_reply payload
+                | None -> Alcotest.fail "connection closed")
+          in
+          Alcotest.(check (list int)) "reply order" [ 2; 3; 0; 1 ]
+            (List.map fst got);
+          check_hits "over-budget query"
+            (wire (G.query g ~pattern:(Sym.of_string "A") ~tau:0.5))
+            (List.assoc 1 got);
+          check_hits "cheap miss"
+            (wire (G.query g ~pattern:(Sym.of_string cheap) ~tau:tau_min))
+            (List.assoc 2 got);
+          Alcotest.(check int) "only Slow and the heavy query were queued" 2
+            (Pti_server.Metrics.batched_jobs (Server.metrics srv))))
+
+let test_long_pattern_queued () =
+  (* a pattern longer than [loop_pattern_max] goes to a worker even
+     when its suffix range is within budget: with the only worker asleep
+     in a Slow op it waits, while a Ping on another connection does not.
+     The fixture holds no stretch that long with probability above
+     τ_min, so this index is built over a certain text. *)
+  let text =
+    let rng = Random.State.make [| 63 |] in
+    String.init 400 (fun _ -> "ACDE".[Random.State.int rng 4])
+  in
+  let g = G.build ~tau_min (U.of_string text) in
+  let long = String.sub text 100 (Server.loop_pattern_max + 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "long pattern found (%d entries)" (range_size (G.engine g) long))
+    true
+    (range_size (G.engine g) long >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "long pattern's range (%d entries) is within budget"
+       (range_size (G.engine g) long))
+    true
+    (range_size (G.engine g) long <= Server.loop_range_budget);
+  let config =
+    { (base_config 1) with debug_slow = true; deadline_ms = 30_000.0 }
+  in
+  with_server ~config [ Server.Source_general g ] (fun _ port ->
+      with_conn port (fun fd ->
+          P.write_all fd (P.encode_request { P.id = 0; op = P.Slow 300 });
+          Unix.sleepf 0.05;
+          P.write_all fd
+            (P.encode_request
+               { P.id = 1; op = P.Query { index = 0; pattern = long; tau = tau_min } });
+          with_conn port (fun fd2 ->
+              let t0 = Unix.gettimeofday () in
+              (match rpc fd2 { P.id = 2; op = P.Ping } with
+              | 2, P.Pong -> ()
+              | _ -> Alcotest.fail "ping");
+              let took = Unix.gettimeofday () -. t0 in
+              Alcotest.(check bool)
+                (Printf.sprintf "ping while the long query waits (%.0f ms)"
+                   (took *. 1e3))
+                true (took < 0.1));
+          let got =
+            List.init 2 (fun _ ->
+                match P.read_frame fd with
+                | Some payload -> P.decode_reply payload
+                | None -> Alcotest.fail "connection closed")
+          in
+          Alcotest.(check (list int)) "long query answered after Slow" [ 0; 1 ]
+            (List.map fst got);
+          check_hits "long query"
+            (wire (G.query g ~pattern:(Sym.of_string long) ~tau:tau_min))
+            (List.assoc 1 got)))
+
+let test_cold_file_on_worker () =
+  (* the loop never opens a container: a cheap query on a cold file
+     goes to a worker, whose slow open does not hold up another
+     connection's Ping; once open, the file's cheap misses run on the
+     loop *)
+  let _, _, g, _, gpath, _ = Lazy.force fixture in
+  let pats = cheap_patterns ~seed:62 (G.engine g) (G.source g) 2 in
+  let query id pattern = { P.id; op = P.Query { index = 0; pattern; tau = 0.2 } } in
+  let want pattern = wire (G.query g ~pattern:(Sym.of_string pattern) ~tau:0.2) in
+  with_faults (fun () ->
+      with_server ~config:(base_config 1) [ Server.Source_file gpath ]
+        (fun srv port ->
+          F.arm "cache.open" (F.Delay 400) F.Always;
+          with_conn port (fun fd ->
+              P.write_all fd (P.encode_request (query 1 (List.nth pats 0)));
+              Unix.sleepf 0.05;
+              with_conn port (fun fd2 ->
+                  let t0 = Unix.gettimeofday () in
+                  (match rpc fd2 { P.id = 2; op = P.Ping } with
+                  | 2, P.Pong -> ()
+                  | _ -> Alcotest.fail "ping");
+                  let took = Unix.gettimeofday () -. t0 in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "ping during the open (%.0f ms)" (took *. 1e3))
+                    true (took < 0.1));
+              (match P.read_frame fd with
+              | Some payload ->
+                  check_hits "cold query" (want (List.nth pats 0))
+                    (snd (P.decode_reply payload))
+              | None -> Alcotest.fail "connection closed");
+              Alcotest.(check int) "opened once" 1 (F.hit_count "cache.open");
+              let m = Server.metrics srv in
+              let jobs0 = Pti_server.Metrics.batched_jobs m in
+              check_hits "warm query" (want (List.nth pats 1))
+                (snd (rpc fd (query 3 (List.nth pats 1))));
+              Alcotest.(check int) "warm cheap miss ran on the loop" jobs0
+                (Pti_server.Metrics.batched_jobs m))))
+
+let test_loop_miss_identity () =
+  (* misses run on the loop answer exactly what direct engine calls
+     give, on binary and JSON connections, typed errors included; the
+     first sighting bypasses the result cache, the second fills it on
+     the loop, the third is a hit *)
+  let _, docs, g, l, _, _ = Lazy.force fixture in
+  let gp = cheap_patterns ~seed:63 (G.engine g) (G.source g) 12 in
+  let lp = cheap_patterns ~seed:64 (L.engine l) (List.hd docs) 6 in
+  let bad_tau = tau_min /. 2.0 in
+  let refused f =
+    match f () with
+    | _ -> Alcotest.fail "expected the engine to refuse"
+    | exception Invalid_argument m -> P.Error (P.Bad_request, m)
+  in
+  let cases =
+    List.concat_map
+      (fun pat ->
+        let sym = Sym.of_string pat in
+        [
+          ( P.Query { index = 0; pattern = pat; tau = 0.2 },
+            P.Hits (wire (G.query g ~pattern:sym ~tau:0.2)) );
+          ( P.Top_k { index = 0; pattern = pat; tau = tau_min; k = 3 },
+            P.Hits (wire (G.query_top_k g ~pattern:sym ~tau:tau_min ~k:3)) );
+        ])
+      gp
+    @ List.map
+        (fun pat ->
+          ( P.Listing { index = 1; pattern = pat; tau = 0.2 },
+            P.Hits (wire (L.query l ~pattern:(Sym.of_string pat) ~tau:0.2)) ))
+        lp
+    @ [
+        ( P.Query { index = 0; pattern = List.hd gp; tau = bad_tau },
+          refused (fun () ->
+              G.query g ~pattern:(Sym.of_string (List.hd gp)) ~tau:bad_tau) );
+        ( P.Listing { index = 0; pattern = List.hd gp; tau = 0.2 },
+          P.Error (P.Bad_request, "index 0 is not a listing index") );
+      ]
+  in
+  with_server [ Server.Source_general g; Server.Source_listing l ]
+    (fun srv port ->
+      with_conn port (fun fd ->
+          with_conn port (fun jfd ->
+              let binary () =
+                List.iteri
+                  (fun id (op, want) ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "binary reply %d" id)
+                      (P.encode_reply ~id want)
+                      (P.encode_reply ~id (snd (rpc fd { P.id = id; op }))))
+                  cases
+              in
+              binary ();
+              List.iteri
+                (fun id (op, want) ->
+                  P.write_all jfd (P.request_to_json { P.id = id; op } ^ "\n");
+                  Alcotest.(check string)
+                    (Printf.sprintf "json reply %d" id)
+                    (P.reply_to_json ~id want) (read_json_line jfd))
+                cases;
+              binary ();
+              let m = Server.metrics srv in
+              Alcotest.(check bool) "the result cache filled and hit" true
+                (Pti_server.Metrics.result_cache_hits m > 0);
+              Alcotest.(check int) "no request reached a worker" 0
+                (Pti_server.Metrics.batched_jobs m))))
+
+let test_syscall_counts () =
+  (* the daemon counts its own syscalls: N lock-step requests on one
+     connection, each a miss the loop runs, take exactly N sends from
+     the loop and no write from a worker *)
+  let _, _, g, _, _, _ = Lazy.force fixture in
+  let pats = cheap_patterns ~seed:65 (G.engine g) (G.source g) 10 in
+  with_server [ Server.Source_general g ] (fun srv port ->
+      with_conn port (fun fd ->
+          let m = Server.metrics srv in
+          let sends0 = Pti_server.Metrics.loop_sends m in
+          let reads0 = Pti_server.Metrics.reads m in
+          List.iteri
+            (fun id pattern ->
+              match rpc fd { P.id; op = P.Query { index = 0; pattern; tau = 0.2 } } with
+              | _, P.Hits _ -> ()
+              | _ -> Alcotest.fail "query failed")
+            pats;
+          let n = List.length pats in
+          Alcotest.(check int) "one loop send per request" n
+            (Pti_server.Metrics.loop_sends m - sends0);
+          Alcotest.(check int) "no worker write" 0
+            (Pti_server.Metrics.worker_writes m);
+          Alcotest.(check bool) "a read per request at least" true
+            (Pti_server.Metrics.reads m - reads0 >= n);
+          Alcotest.(check bool) "epoll waits counted" true
+            (Pti_server.Metrics.epoll_waits m >= n);
+          Alcotest.(check bool) "stats expose them" true
+            (contains (Server.stats_json srv) "\"syscalls\":{\"loop_sends\":")))
+
 let test_flight_owner_refused () =
   (* a job that owns its key's flight and is never run — its deadline
      expires in the queue, or the drain window closes on it — answers
      the requests that joined its flight with the same typed error,
      and leaves the key free for the next request *)
   let _, _, g, _, _, _ = Lazy.force fixture in
+  a_over_budget ();
   let want = wire (G.query g ~pattern:(Sym.of_string "A") ~tau:0.3) in
   let pipeline fd =
     P.write_all fd (P.encode_request { P.id = 0; op = P.Slow 400 });
@@ -865,6 +1155,7 @@ let test_drain () =
      and already-queued work complete within the drain window, and
      answers anything arriving after the flag with Shutting_down *)
   let _, _, g, _, _, _ = Lazy.force fixture in
+  a_over_budget ();
   let config =
     {
       (base_config 1) with
@@ -911,6 +1202,7 @@ let test_drain_timeout () =
      but jobs still queued past the deadline are answered
      Shutting_down instead of holding shutdown hostage *)
   let _, _, g, _, _, _ = Lazy.force fixture in
+  a_over_budget ();
   let config =
     {
       (base_config 1) with
@@ -1150,11 +1442,10 @@ let test_many_connections () =
             (Pti_server.Metrics.connections_shed (Server.metrics srv))))
 
 let test_batched_identity () =
-  (* worker-side batching: stall the single worker behind a Slow op so
-     a burst of pipelined queries piles up in the queue, is drained as
-     one batch, and every reply is byte-for-byte identical to a direct
-     engine call — errors included (a poisoned job in a batch falls the
-     whole group back to one-at-a-time execution) *)
+  (* stall the single worker behind a Slow op so a burst of pipelined
+     queries on cold containers piles up in the queue and is popped as
+     one batch: every reply is byte-for-byte identical to a direct
+     engine call, typed errors included *)
   let u, docs, g, l, gpath, lpath = Lazy.force fixture in
   let config =
     { (base_config 1) with debug_slow = true; queue_cap = 256 }
@@ -1237,10 +1528,7 @@ let test_batched_identity () =
                   Alcotest.(check bool)
                     (Printf.sprintf "stats mentions %s" needle)
                     true (contains s needle))
-                [
-                  "\"batches\""; "\"connections_shed\""; "\"cache_shards\"";
-                  "\"batched\"";
-                ]
+                [ "\"batches\""; "\"connections_shed\""; "\"cache_shards\"" ]
           | _ -> Alcotest.fail "expected stats reply"))
 
 let test_cache_shards () =
@@ -2048,6 +2336,8 @@ let test_reload_races_batched_group () =
   let want_old = wire (G.query g1 ~pattern:(Sym.of_string "A") ~tau:0.4) in
   let want_new = wire (G.query g2 ~pattern:(Sym.of_string "A") ~tau:0.4) in
   Alcotest.(check bool) "fixture: answers differ" true (want_old <> want_new);
+  Alcotest.(check bool) "\"A\" is over the loop's budget" true
+    (range_size (G.engine g1) "A" > Server.loop_range_budget);
   let path = Filename.temp_file "pti_reload_race" ".idx" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -2179,6 +2469,16 @@ let () =
             test_flight_owner_refused;
           Alcotest.test_case "loop replies handed to a busy writer" `Quick
             test_reply_handed_to_writer;
+          Alcotest.test_case "over-budget query waits for the worker" `Quick
+            test_over_budget_queued;
+          Alcotest.test_case "long pattern waits for the worker" `Quick
+            test_long_pattern_queued;
+          Alcotest.test_case "cold container opened by a worker" `Quick
+            test_cold_file_on_worker;
+          Alcotest.test_case "loop-run misses byte-identical" `Quick
+            test_loop_miss_identity;
+          Alcotest.test_case "syscalls counted by the daemon" `Quick
+            test_syscall_counts;
         ] );
       ( "fault",
         [
@@ -2198,6 +2498,7 @@ let () =
             `Quick test_result_cache_open_failure;
           Alcotest.test_case "loadgen rides out a torn reply" `Quick
             test_loadgen_retry;
+          Alcotest.test_case "cached hit's reply torn" `Quick test_torn_hit_reply;
           Alcotest.test_case "backoff is deterministic" `Quick
             test_backoff_determinism;
         ] );
