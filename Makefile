@@ -14,15 +14,16 @@ bench:
 bench-par:
 	dune exec bench/main.exe -- par
 
-# Persistence: legacy marshal load vs mmap open; writes BENCH_IO.json.
+# Persistence: save time, file size and mmap open-to-first-query
+# latency of the packed container; writes BENCH_IO.json.
 bench-io:
 	dune exec bench/main.exe -- io
 
-# Space–latency frontier: packed PTI-ENGINE-4 vs 64-bit V3 vs succinct
-# containers (words/position, open time, query latency on the same
-# workload, every succinct answer verified against the packed twin);
-# writes BENCH_SPACE.json. bench-frontier is the same experiment under
-# its frontier alias.
+# Space–latency frontier: packed vs succinct PTI-ENGINE-4 containers
+# (words/position, open time, query latency on the same workload,
+# every succinct answer verified against the packed twin); writes
+# BENCH_SPACE.json. bench-frontier is the same experiment under its
+# frontier alias.
 bench-space:
 	dune exec bench/main.exe -- space
 

@@ -568,7 +568,7 @@ let abl_range () =
   let queries = workload u in
   print_header
     "abl_range: pattern->range step — SA binary search vs FM-index (the CSA \
-     role of §8.7) vs suffix-tree locus walk (§3.4)"
+     role of §8.7)"
     (Printf.sprintf "n=%d theta=0.3 tau=%.2f" n tau_default);
   Printf.printf "%10s %10s %12s %12s\n" "backend" "build_s" "size_MB" "query_us";
   List.iter
@@ -583,11 +583,7 @@ let abl_range () =
       Printf.printf "%10s %10.2f %12s %12.1f\n" name build_s
         (mb (G.size_words g))
         (q *. 1e6))
-    [
-      ("binary", Engine.Rs_binary);
-      ("fm", Engine.Rs_fm);
-      ("tree", Engine.Rs_tree);
-    ]
+    [ ("binary", Engine.Rs_binary); ("fm", Engine.Rs_fm) ]
 
 let abl_persist () =
   let n = if !fast then 10_000 else 100_000 in
@@ -812,12 +808,11 @@ let par () =
   Printf.printf "   wrote BENCH_PAR.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* io: persistence cost model — PTI-ENGINE-4 mmap open vs the legacy
-   marshalled format. Measures save time, file size, and the
-   load-to-first-query latency on a fresh index handle: the legacy path
-   unmarshals every array and rebuilds the RMQ layer, the mmap path is a
-   page mapping plus (by default) one checksum pass, and with
-   ~verify:false nothing but the envelope parse. Writes BENCH_IO.json. *)
+(* io: persistence cost model of the PTI-ENGINE-4 container. Measures
+   save time, file size, and the load-to-first-query latency on a fresh
+   index handle: the mmap path is a page mapping plus (by default) one
+   checksum pass, and with ~verify:false nothing but the envelope
+   parse. Writes BENCH_IO.json. *)
 
 let io () =
   let ns_io =
@@ -826,15 +821,13 @@ let io () =
     else [ 10_000; 100_000; 1_000_000 ]
   in
   let theta = 0.3 in
-  print_header
-    "io: index persistence — legacy marshal load vs zero-copy mmap open"
+  print_header "io: index persistence — zero-copy mmap open"
     (Printf.sprintf
        "theta=%.1f tau_min=%.2f; latencies are load-to-first-query on a \
         fresh handle"
        theta tau_min_default);
-  Printf.printf "%10s %8s %8s %9s %9s %11s %11s %11s %9s\n" "n" "build_s"
-    "save_s" "file_MB" "legacy_MB" "legacy_ms" "mmap_ms" "noverify_ms"
-    "speedup";
+  Printf.printf "%10s %8s %8s %9s %11s %11s\n" "n" "build_s" "save_s" "file_MB"
+    "mmap_ms" "noverify_ms";
   let rng = Random.State.make [| 97 |] in
   let rows =
     List.map
@@ -844,42 +837,27 @@ let io () =
         let pat = Q.pattern rng u ~m:8 in
         let first_query g' = ignore (G.query g' ~pattern:pat ~tau:tau_default) in
         let path = Filename.temp_file "pti_bench_io" ".idx" in
-        let legacy_path = Filename.temp_file "pti_bench_io" ".idx2" in
         Fun.protect
-          ~finally:(fun () ->
-            Sys.remove path;
-            Sys.remove legacy_path)
+          ~finally:(fun () -> Sys.remove path)
           (fun () ->
             let (), save_s = time (fun () -> G.save g path) in
-            let (), legacy_save_s = time (fun () -> G.save_legacy g legacy_path) in
             let file_b = (Unix.stat path).Unix.st_size in
-            let legacy_b = (Unix.stat legacy_path).Unix.st_size in
             let to_first_query load =
               let g', load_s = time load in
               let (), q_s = time (fun () -> first_query g') in
               (load_s, q_s)
             in
-            let legacy_load_s, legacy_q_s =
-              to_first_query (fun () -> G.load legacy_path)
-            in
             let open_s, open_q_s = to_first_query (fun () -> G.load path) in
             let raw_open_s, raw_q_s =
               to_first_query (fun () -> G.load ~verify:false path)
             in
-            let legacy_total = legacy_load_s +. legacy_q_s in
-            let mmap_total = open_s +. open_q_s in
-            let raw_total = raw_open_s +. raw_q_s in
-            let speedup = legacy_total /. mmap_total in
-            Printf.printf
-              "%10d %8.2f %8.2f %9.1f %9.1f %11.2f %11.2f %11.2f %9.1f\n" n
-              build_s save_s
+            Printf.printf "%10d %8.2f %8.2f %9.1f %11.2f %11.2f\n" n build_s
+              save_s
               (float_of_int file_b /. (1024. *. 1024.))
-              (float_of_int legacy_b /. (1024. *. 1024.))
-              (legacy_total *. 1e3) (mmap_total *. 1e3) (raw_total *. 1e3)
-              speedup;
-            ( n, build_s, save_s, legacy_save_s, file_b, legacy_b,
-              legacy_load_s, legacy_q_s, open_s, open_q_s, raw_open_s,
-              raw_q_s, peak_rss_bytes () )))
+              ((open_s +. open_q_s) *. 1e3)
+              ((raw_open_s +. raw_q_s) *. 1e3);
+            ( n, build_s, save_s, file_b, open_s, open_q_s, raw_open_s, raw_q_s,
+              peak_rss_bytes () )))
       ns_io
   in
   let oc = open_out "BENCH_IO.json" in
@@ -893,46 +871,34 @@ let io () =
         theta tau_min_default (host_json_fields ())
         (json_escape
            "latencies in seconds, sizes in bytes; *_to_first_query = fresh \
-            handle open/load plus one 8-symbol query. legacy = marshalled \
-            PTI-ENGINE-2 (unmarshal + RMQ rebuild); mmap = PTI-ENGINE-4 \
-            packed container opened read-only via map_file (default: one \
-            checksum pass; noverify trusts array sections).");
+            handle open plus one 8-symbol query. mmap = PTI-ENGINE-4 packed \
+            container opened read-only via map_file (default: one checksum \
+            pass; noverify trusts array sections).");
       List.iteri
         (fun i
-             ( n, build_s, save_s, legacy_save_s, file_b, legacy_b,
-               legacy_load_s, legacy_q_s, open_s, open_q_s, raw_open_s,
-               raw_q_s, rss ) ->
-          let legacy_total = legacy_load_s +. legacy_q_s in
-          let mmap_total = open_s +. open_q_s in
+             (n, build_s, save_s, file_b, open_s, open_q_s, raw_open_s, raw_q_s, rss) ->
           Printf.fprintf oc
             "    {\"n\": %d, \"build_s\": %.4f, \"save_s\": %.4f, \
-             \"legacy_save_s\": %.4f, \"file_bytes\": %d, \
-             \"legacy_file_bytes\": %d, \"legacy_load_s\": %.6f, \
-             \"legacy_first_query_s\": %.6f, \"legacy_to_first_query_s\": \
-             %.6f, \"mmap_open_s\": %.6f, \"mmap_first_query_s\": %.6f, \
-             \"mmap_to_first_query_s\": %.6f, \"mmap_noverify_open_s\": \
-             %.6f, \"mmap_noverify_first_query_s\": %.6f, \
-             \"speedup_to_first_query\": %.2f, \"peak_rss_bytes\": %d}%s\n"
-            n build_s save_s legacy_save_s file_b legacy_b legacy_load_s
-            legacy_q_s legacy_total open_s open_q_s mmap_total raw_open_s
-            raw_q_s
-            (legacy_total /. mmap_total)
-            rss
+             \"file_bytes\": %d, \"mmap_open_s\": %.6f, \
+             \"mmap_first_query_s\": %.6f, \"mmap_to_first_query_s\": %.6f, \
+             \"mmap_noverify_open_s\": %.6f, \
+             \"mmap_noverify_first_query_s\": %.6f, \"peak_rss_bytes\": %d}%s\n"
+            n build_s save_s file_b open_s open_q_s (open_s +. open_q_s)
+            raw_open_s raw_q_s rss
             (if i = List.length rows - 1 then "" else ","))
         rows;
       Printf.fprintf oc "  ]\n}\n");
   Printf.printf "   wrote BENCH_IO.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* space: the space–latency frontier across the three persisted
-   layouts of the same dataset — packed (PTI-ENGINE-4, minimal-width
-   sections), v3 (all-64-bit layout of the packed engine) and succinct
-   (signature-only block RMQs + FM-index range search, lcp/raw-log
-   sections dropped) — file bytes, 8-byte words per transformed-text
-   position (Fig 9(c)'s unit), and save / open / query latencies of
-   each container. The succinct engine's answers are verified equal to
-   the packed engine's over the whole workload while being measured.
-   Writes BENCH_SPACE.json. *)
+(* space: the space–latency frontier across the two persisted backends
+   of the same dataset — packed (minimal-width sections, Fischer–Heun
+   RMQs, suffix-array binary search) and succinct (signature-only block
+   RMQs + FM-index range search) — file bytes, 8-byte words per
+   transformed-text position (Fig 9(c)'s unit), and save / open / query
+   latencies of each container. The succinct engine's answers are
+   verified equal to the packed engine's over the whole workload while
+   being measured. Writes BENCH_SPACE.json. *)
 
 type space_row = {
   sp_n : int;
@@ -940,19 +906,14 @@ type space_row = {
   sp_build_s : float;
   sp_succ_build_s : float;
   sp_save_s : float;
-  sp_v3_save_s : float;
   sp_succ_save_s : float;
   sp_packed_b : int;
-  sp_v3_b : int;
   sp_succ_b : int;
   sp_wpp : float;
-  sp_v3_wpp : float;
   sp_succ_wpp : float;
   sp_open_s : float;
-  sp_v3_open_s : float;
   sp_succ_open_s : float;
   sp_q_us : float;
-  sp_v3_q_us : float;
   sp_succ_q_us : float;
   sp_rss : int;
 }
@@ -964,15 +925,13 @@ let space () =
     else [ 10_000; 100_000; 1_000_000 ]
   in
   let theta = 0.3 in
-  print_header
-    "space: packed (PTI-ENGINE-4) vs 64-bit (V3) vs succinct containers"
+  print_header "space: packed vs succinct containers (PTI-ENGINE-4)"
     (Printf.sprintf
        "theta=%.1f tau_min=%.2f; paper Fig 9(c) target is ~10.5 words per \
         transformed-text position; succinct target < 4"
        theta tau_min_default);
-  Printf.printf "%10s %10s %10s %10s %7s %7s %7s %9s %9s %9s %7s\n" "n"
-    "packed_MB" "v3_MB" "succ_MB" "wpp" "v3wpp" "s_wpp" "q_us" "v3q_us"
-    "sq_us" "slow";
+  Printf.printf "%10s %10s %10s %7s %7s %9s %9s %7s\n" "n" "packed_MB" "succ_MB"
+    "wpp" "s_wpp" "q_us" "sq_us" "slow";
   let rows =
     List.map
       (fun n ->
@@ -986,21 +945,15 @@ let space () =
         let text_len = T.text_length (G.transform g) in
         let queries = workload u in
         let packed_path = Filename.temp_file "pti_bench_space" ".idx" in
-        let v3_path = Filename.temp_file "pti_bench_space" ".idx3" in
         let succ_path = Filename.temp_file "pti_bench_space" ".idxs" in
         Fun.protect
           ~finally:(fun () ->
             Sys.remove packed_path;
-            Sys.remove v3_path;
             Sys.remove succ_path)
           (fun () ->
             let (), save_s = time (fun () -> G.save g packed_path) in
-            let (), v3_save_s =
-              time (fun () -> G.save ~format:Pti_storage.V3 g v3_path)
-            in
             let (), succ_save_s = time (fun () -> G.save gs succ_path) in
             let packed_b = (Unix.stat packed_path).Unix.st_size in
-            let v3_b = (Unix.stat v3_path).Unix.st_size in
             let succ_b = (Unix.stat succ_path).Unix.st_size in
             let open_and_query path =
               let g', open_s = time (fun () -> G.load path) in
@@ -1013,7 +966,6 @@ let space () =
               (g', open_s, q_us)
             in
             let gp, open_s, q_us = open_and_query packed_path in
-            let _, v3_open_s, v3_q_us = open_and_query v3_path in
             let gsucc, succ_open_s, succ_q_us = open_and_query succ_path in
             (* the frontier is only meaningful if both ends answer
                identically: verify the mapped succinct engine against the
@@ -1032,39 +984,28 @@ let space () =
             let wpp =
               Space.words_per_position ~bytes:packed_b ~positions:text_len
             in
-            let v3_wpp =
-              Space.words_per_position ~bytes:v3_b ~positions:text_len
-            in
             let succ_wpp =
               Space.words_per_position ~bytes:succ_b ~positions:text_len
             in
-            Printf.printf
-              "%10d %10.2f %10.2f %10.2f %7.2f %7.2f %7.2f %9.1f %9.1f %9.1f \
-               %6.2fx\n"
+            Printf.printf "%10d %10.2f %10.2f %7.2f %7.2f %9.1f %9.1f %6.2fx\n"
               n
               (float_of_int packed_b /. (1024. *. 1024.))
-              (float_of_int v3_b /. (1024. *. 1024.))
               (float_of_int succ_b /. (1024. *. 1024.))
-              wpp v3_wpp succ_wpp q_us v3_q_us succ_q_us (succ_q_us /. q_us);
+              wpp succ_wpp q_us succ_q_us (succ_q_us /. q_us);
             {
               sp_n = n;
               sp_text_len = text_len;
               sp_build_s = build_s;
               sp_succ_build_s = succ_build_s;
               sp_save_s = save_s;
-              sp_v3_save_s = v3_save_s;
               sp_succ_save_s = succ_save_s;
               sp_packed_b = packed_b;
-              sp_v3_b = v3_b;
               sp_succ_b = succ_b;
               sp_wpp = wpp;
-              sp_v3_wpp = v3_wpp;
               sp_succ_wpp = succ_wpp;
               sp_open_s = open_s;
-              sp_v3_open_s = v3_open_s;
               sp_succ_open_s = succ_open_s;
               sp_q_us = q_us;
-              sp_v3_q_us = v3_q_us;
               sp_succ_q_us = succ_q_us;
               sp_rss = peak_rss_bytes ();
             }))
@@ -1081,14 +1022,13 @@ let space () =
         \  \"note\": \"%s\",\n  \"results\": [\n"
         theta tau_min_default (host_json_fields ())
         (json_escape
-           "three-way space-latency frontier over the same dataset: packed \
-            = PTI-ENGINE-4 (minimal-width u8/u16/u32/u64 sections, \
-            streaming save); v3 = same engine written with the all-64-bit \
-            V3 layout; succinct = space-lean serving backend \
-            (signature-only block RMQs at ~2 bits/element/level, FM-index \
-            range search, lcp and raw-log sections dropped), mapped \
-            read-only with no rebuild at open and verified to answer the \
-            whole workload identically to the packed engine. \
+           "space-latency frontier over the same dataset: packed = \
+            PTI-ENGINE-4 (minimal-width u8/u16/u32/u64 sections, \
+            Fischer-Heun RMQs, suffix-array binary search); succinct = \
+            space-lean serving backend (signature-only block RMQs at ~2 \
+            bits/element/level, FM-index range search), mapped read-only \
+            with no rebuild at open and verified to answer the whole \
+            workload identically to the packed engine. \
             words_per_position = file bytes / 8 / transformed text length, \
             the unit of the paper's Fig 9(c) (~10.5 for the paper's index; \
             succinct targets < 4 at <= 3x packed query latency). query \
@@ -1099,21 +1039,16 @@ let space () =
           Printf.fprintf oc
             "    {\"n\": %d, \"text_len\": %d, \"build_s\": %.4f, \
              \"succinct_build_s\": %.4f, \"packed_save_s\": %.4f, \
-             \"v3_save_s\": %.4f, \"succinct_save_s\": %.4f, \
-             \"packed_file_bytes\": %d, \"v3_file_bytes\": %d, \
-             \"succinct_file_bytes\": %d, \"bytes_ratio\": %.4f, \
+             \"succinct_save_s\": %.4f, \"packed_file_bytes\": %d, \
+             \"succinct_file_bytes\": %d, \
              \"packed_words_per_position\": %.3f, \
-             \"v3_words_per_position\": %.3f, \
              \"succinct_words_per_position\": %.3f, \"packed_open_s\": %.6f, \
-             \"v3_open_s\": %.6f, \"succinct_open_s\": %.6f, \
-             \"packed_query_us\": %.2f, \"v3_query_us\": %.2f, \
+             \"succinct_open_s\": %.6f, \"packed_query_us\": %.2f, \
              \"succinct_query_us\": %.2f, \"succinct_latency_ratio\": %.3f, \
              \"peak_rss_bytes\": %d}%s\n"
             r.sp_n r.sp_text_len r.sp_build_s r.sp_succ_build_s r.sp_save_s
-            r.sp_v3_save_s r.sp_succ_save_s r.sp_packed_b r.sp_v3_b r.sp_succ_b
-            (float_of_int r.sp_packed_b /. float_of_int r.sp_v3_b)
-            r.sp_wpp r.sp_v3_wpp r.sp_succ_wpp r.sp_open_s r.sp_v3_open_s
-            r.sp_succ_open_s r.sp_q_us r.sp_v3_q_us r.sp_succ_q_us
+            r.sp_succ_save_s r.sp_packed_b r.sp_succ_b r.sp_wpp r.sp_succ_wpp
+            r.sp_open_s r.sp_succ_open_s r.sp_q_us r.sp_succ_q_us
             (r.sp_succ_q_us /. r.sp_q_us)
             r.sp_rss
             (if i = List.length rows - 1 then "" else ","))
@@ -2085,7 +2020,7 @@ let experiments =
     ("abl_persist", abl_persist);
     ("io", io);
     ("space", space);
-    (* Alias: the three-way packed/v3/succinct space-latency frontier is
+    (* Alias: the packed/succinct space-latency frontier is
        the space experiment; named for `make bench-frontier`. Excluded
        from the default run-everything selection like multicore. *)
     ("frontier", space);

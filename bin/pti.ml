@@ -254,32 +254,26 @@ let json_str s =
 (* Section table of a saved container: name, kind, element width,
    sentinel bias, bytes, element count, checksum status. *)
 let container_stats path =
-  if not (S.file_has_magic path) then
-    failwith
-      (path
-     ^ ": not a PTI-ENGINE container (legacy marshal files have no section \
-        table)");
   let r = S.Reader.open_file ~verify:false path in
   let infos = S.Reader.table r in
   let payload =
     List.fold_left (fun a i -> a + i.S.Reader.si_bytes) 0 infos
   in
   let file_bytes = (Unix.stat path).Unix.st_size in
-  Printf.printf "container:  PTI-ENGINE-%d  %s\n" (S.Reader.version r) path;
+  Printf.printf "container:  %s  %s\n" (String.trim S.magic) path;
   Printf.printf "sections:   %d  (%s payload, %s file)\n" (List.length infos)
     (Pti_core.Space.bytes_to_string payload)
     (Pti_core.Space.bytes_to_string file_bytes);
   (* engine containers: backend kind + space-per-position summary *)
   (if S.Reader.has r "meta" then
      let meta = S.Reader.ints r "meta" in
-     let arity = S.Ints.length meta in
-     if arity = 2 || arity = 3 then begin
+     if S.Ints.length meta = 3 then begin
        let n = S.Ints.get meta 0 in
        let backend =
-         match (arity, if arity = 3 then S.Ints.get meta 2 else 0) with
-         | _, 0 -> "packed"
-         | _, 1 -> "succinct"
-         | _, k -> Printf.sprintf "unknown(%d)" k
+         match S.Ints.get meta 2 with
+         | 0 -> "packed"
+         | 1 -> "succinct"
+         | k -> Printf.sprintf "unknown(%d)" k
        in
        Printf.printf "backend:    %s  (%.2f words/position over %d positions)\n"
          backend
@@ -313,8 +307,6 @@ let dataset_stats input tau_min =
   Printf.printf "engine:         %s\n" (Pti_core.Engine.stats (G.engine g))
 
 let container_stats_json path =
-  if not (S.file_has_magic path) then
-    failwith (path ^ ": not a PTI-ENGINE container");
   let r = S.Reader.open_file ~verify:false path in
   let infos = S.Reader.table r in
   let payload = List.fold_left (fun a i -> a + i.S.Reader.si_bytes) 0 infos in
@@ -332,8 +324,8 @@ let container_stats_json path =
          infos)
   in
   Printf.printf
-    {|{"container":"PTI-ENGINE-%d","path":%s,"payload_bytes":%d,"file_bytes":%d,"sections":[%s]}|}
-    (S.Reader.version r) (json_str path) payload file_bytes sections;
+    {|{"container":%s,"path":%s,"payload_bytes":%d,"file_bytes":%d,"sections":[%s]}|}
+    (json_str (String.trim S.magic)) (json_str path) payload file_bytes sections;
   print_newline ()
 
 (* Shared by [pti stats DIR] and [pti corpus stats DIR]. *)
@@ -698,7 +690,11 @@ let loadgen input host port concurrency duration requests mix seed tau lengths
     pattern_pool =
   run_checked @@ fun () ->
   let u = read_single input in
-  let mix = Loadgen.mix_of_string mix in
+  let mix =
+    match mix with
+    | Some spec -> Loadgen.mix_of_string spec
+    | None -> Loadgen.default_mix ~listing_index
+  in
   if warmup_ms < 0.0 then failwith "loadgen: --warmup-ms must be >= 0";
   (match pattern_pool with
   | Some n when n < 1 -> failwith "loadgen: --pattern-pool must be >= 1"
@@ -1177,9 +1173,13 @@ let loadgen_cmd =
   in
   let mix =
     Arg.(
-      value & opt string "query=8,topk=1,listing=1"
+      value
+      & opt (some string) None
       & info [ "mix" ] ~docv:"SPEC"
-          ~doc:"Relative op weights, e.g. query=8,topk=1,listing=1.")
+          ~doc:"Relative op weights, e.g. query=8,topk=1,listing=1. Default: \
+                query=8,topk=1, plus listing=1 when --listing-index is \
+                given. An explicit listing weight without --listing-index \
+                sends listings to --index.")
   in
   let seed =
     Arg.(

@@ -10,7 +10,7 @@ module S = Pti_storage
 
 type ladder = Ladder_geometric | Ladder_full | Ladder_none
 type metric = Max | Or_metric
-type range_search = Rs_binary | Rs_fm | Rs_tree
+type range_search = Rs_binary | Rs_fm
 
 type config = {
   rmq_kind : Rmq.kind;
@@ -27,10 +27,10 @@ let default_config =
     range_search = Rs_binary;
   }
 
-(* Which persisted layout the engine targets. [Packed] keeps every
-   construction artefact; [Succinct] trades a little query latency for
-   space — signature-only block RMQs, FM-index range search, and the
-   redundant lcp / raw-log sections dropped from the container. *)
+(* Which persisted layout the engine targets. [Packed] keeps the
+   Fischer–Heun RMQs and suffix-array binary search; [Succinct] trades a
+   little query latency for space — signature-only block RMQs and
+   FM-index range search. *)
 type backend = Packed | Succinct
 
 let backend_to_string = function Packed -> "packed" | Succinct -> "succinct"
@@ -124,7 +124,6 @@ type t = {
   text : S.ints;
   pos : S.ints;
   sa : S.ints;
-  lcp : S.ints;
   n : int;
   max_short : int;
   dead : S.Bits.t array; (* Max metric: per level, bit set = suppressed slot *)
@@ -134,7 +133,6 @@ type t = {
   ladder_rmq : Rmq.t array;
   ladder_max : S.floats array;
   fm : Pti_succinct.Fm_index.t option;
-  st : Pti_suffix.Suffix_tree.t option;
 }
 
 let ceil_log2 n =
@@ -171,83 +169,13 @@ let or_value entries =
   if v <= 0.0 then neg_infinity else Float.min 0.0 (log v)
 
 (* The level-[level] metric value of suffix-array slot [j]: what the
-   per-level RMQs index. Shared between construction, legacy rebuild and
-   mmap reopen so every path attaches the same oracle. *)
+   per-level RMQs index. Shared between construction and mmap reopen so
+   both paths attach the same oracle. *)
 let make_level_value ~metric ~dead ~stored ~slot_value level j =
   match metric with
   | Max ->
       if S.Bits.get dead.(level - 1) j then neg_infinity else slot_value j level
   | Or_metric -> S.Floats.get stored.(level - 1) j
-
-(* Everything persistent about an engine except the RMQ structures, with
-   every array already in storage form. [finish] turns this into a
-   query-ready engine by (re)building the RMQs — O(N) per level, used by
-   [build] and by the legacy-format load; the mmap path reopens the
-   persisted RMQs instead. *)
-type pieces = {
-  c_cfg : config;
-  c_backend : backend;
-  c_tr : Transform.t;
-  c_sa : S.ints;
-  c_lcp : S.ints;
-  c_max_short : int;
-  c_dead : S.Bits.t array;
-  c_stored : S.floats array;
-  c_ladder_sizes : int array;
-  c_ladder_max : S.floats array;
-  c_fm : Pti_succinct.Fm_index.t option;
-  c_st : Pti_suffix.Suffix_tree.t option;
-}
-
-(* The per-level RMQ structures are mutually independent (each reads
-   only its own dead bitmap / stored array plus shared read-only data),
-   as are the per-size ladder RMQs, so both builds shard levels across
-   the domain pool. *)
-let finish ?domains ~key_of_pos pieces =
-  let tr = pieces.c_tr in
-  let text = Transform.text_storage tr in
-  let pos = Transform.pos_storage tr in
-  let n = S.Ints.length text in
-  let sa = pieces.c_sa in
-  let config = pieces.c_cfg in
-  let dead = pieces.c_dead and stored = pieces.c_stored in
-  let slot_value j len = slot_value_raw ~tr ~pos ~sa ~n j len in
-  let level_value =
-    make_level_value ~metric:config.metric ~dead ~stored ~slot_value
-  in
-  let level_rmq =
-    Par.parallel_map_array ?domains ~chunk:1
-      (fun k ->
-        Rmq.build_oracle config.rmq_kind ~value:(level_value (k + 1)) ~len:n)
-      (Array.init pieces.c_max_short (fun k -> k))
-  in
-  let ladder_rmq =
-    Par.parallel_map_array ?domains ~chunk:1
-      (fun pb ->
-        Rmq.build_oracle config.rmq_kind ~value:(S.Floats.get pb)
-          ~len:(S.Floats.length pb))
-      pieces.c_ladder_max
-  in
-  {
-    tr;
-    cfg = config;
-    backend = pieces.c_backend;
-    key_of_pos;
-    text;
-    pos;
-    sa;
-    lcp = pieces.c_lcp;
-    n;
-    max_short = pieces.c_max_short;
-    dead;
-    stored;
-    level_rmq;
-    ladder_sizes = pieces.c_ladder_sizes;
-    ladder_rmq;
-    ladder_max = pieces.c_ladder_max;
-    fm = pieces.c_fm;
-    st = pieces.c_st;
-  }
 
 let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
     tr =
@@ -259,6 +187,7 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
   let lcp = Lcp.kasai ~text ~sa in
   let max_short = Stdlib.max 1 (ceil_log2 (Stdlib.max 2 n)) in
   let sa_s = S.Ints.of_array sa in
+  let text_s = Transform.text_storage tr in
   let pos_s = Transform.pos_storage tr in
   let slot_value j len = slot_value_raw ~tr ~pos:pos_s ~sa:sa_s ~n j len in
   let n_levels = max_short in
@@ -368,28 +297,49 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
   let fm =
     match config.range_search with
     | Rs_fm -> Some (Pti_succinct.Fm_index.create ~sa text)
-    | Rs_binary | Rs_tree -> None
+    | Rs_binary -> None
   in
-  let st =
-    match config.range_search with
-    | Rs_tree -> Some (Pti_suffix.Suffix_tree.build ~sa ~lcp ~text_len:n)
-    | Rs_binary | Rs_fm -> None
+  let dead = Array.map S.Bits.of_bytes dead in
+  let stored = Array.map S.Floats.of_array stored in
+  let ladder_max = Array.map S.Floats.of_array ladder_max in
+  (* The per-level RMQ structures are mutually independent (each reads
+     only its own dead bitmap / stored array plus shared read-only
+     data), as are the per-size ladder RMQs, so both builds shard
+     levels across the domain pool. *)
+  let level_value =
+    make_level_value ~metric:config.metric ~dead ~stored ~slot_value
   in
-  finish ?domains ~key_of_pos
-    {
-      c_cfg = config;
-      c_backend = backend;
-      c_tr = tr;
-      c_sa = sa_s;
-      c_lcp = S.Ints.of_array lcp;
-      c_max_short = max_short;
-      c_dead = Array.map S.Bits.of_bytes dead;
-      c_stored = Array.map S.Floats.of_array stored;
-      c_ladder_sizes = ladder_sizes;
-      c_ladder_max = Array.map S.Floats.of_array ladder_max;
-      c_fm = fm;
-      c_st = st;
-    }
+  let level_rmq =
+    Par.parallel_map_array ?domains ~chunk:1
+      (fun k ->
+        Rmq.build_oracle config.rmq_kind ~value:(level_value (k + 1)) ~len:n)
+      (Array.init max_short (fun k -> k))
+  in
+  let ladder_rmq =
+    Par.parallel_map_array ?domains ~chunk:1
+      (fun pb ->
+        Rmq.build_oracle config.rmq_kind ~value:(S.Floats.get pb)
+          ~len:(S.Floats.length pb))
+      ladder_max
+  in
+  {
+    tr;
+    cfg = config;
+    backend;
+    key_of_pos;
+    text = text_s;
+    pos = pos_s;
+    sa = sa_s;
+    n;
+    max_short;
+    dead;
+    stored;
+    level_rmq;
+    ladder_sizes;
+    ladder_rmq;
+    ladder_max;
+    fm;
+  }
 
 let transform t = t.tr
 let config t = t.cfg
@@ -411,10 +361,9 @@ let validate_pattern pattern =
     pattern
 
 let raw_range t pattern =
-  match (t.fm, t.st) with
-  | Some fm, _ -> Pti_succinct.Fm_index.range fm ~pattern
-  | _, Some st -> Pti_suffix.Suffix_tree.locus_storage st ~text:t.text ~pattern
-  | None, None -> Sa_search.Ba.range ~text:t.text ~sa:t.sa ~pattern
+  match t.fm with
+  | Some fm -> Pti_succinct.Fm_index.range fm ~pattern
+  | None -> Sa_search.Ba.range ~text:t.text ~sa:t.sa ~pattern
 
 let suffix_range t ~pattern =
   validate_pattern pattern;
@@ -586,8 +535,8 @@ let query_top_k ?max_range t ~pattern ~tau ~k =
   if k < 0 then invalid_arg "Engine.query_top_k: negative k";
   List.of_seq (Seq.take k (stream ?max_range t ~pattern ~tau))
 
-(* Queries only read the engine (suffix/LCP arrays, RMQ structures,
-   bitmaps, the transform — all immutable after [finish]); per-query
+(* Queries only read the engine (suffix array, RMQ structures,
+   bitmaps, the transform — all immutable after construction); per-query
    traversal state (heaps, hash tables) is allocated locally. So a batch
    shards across the pool with no locking, each query writing only its
    own result slot. *)
@@ -617,18 +566,10 @@ let size_words t =
     | None -> 0
     | Some fm -> Pti_succinct.Fm_index.size_words fm
   in
-  let st_words =
-    match t.st with
-    | None -> 0
-    | Some st -> Pti_suffix.Suffix_tree.size_words st
-  in
-  (2 * t.n) (* sa + lcp *) + rmq_words + dead_words + stored_words
-  + ladder_words + fm_words + st_words
-  + Transform.size_words t.tr
+  t.n (* sa *) + rmq_words + dead_words + stored_words + ladder_words
+  + fm_words + Transform.size_words t.tr
 
-(* Byte-accurate accounting: packed views count at their packed width.
-   The suffix tree remains a heap structure persisted as a Marshal blob;
-   its word estimate times 8 stands in for bytes. *)
+(* Byte-accurate accounting: packed views count at their packed width. *)
 let size_bytes t =
   let rmq_bytes =
     Array.fold_left (fun acc r -> acc + Rmq.size_bytes r) 0 t.level_rmq
@@ -648,14 +589,8 @@ let size_bytes t =
     | None -> 0
     | Some fm -> Pti_succinct.Fm_index.size_bytes fm
   in
-  let st_bytes =
-    match t.st with
-    | None -> 0
-    | Some st -> 8 * Pti_suffix.Suffix_tree.size_words st
-  in
-  S.Ints.byte_size t.sa + S.Ints.byte_size t.lcp + rmq_bytes + dead_bytes
-  + stored_bytes + ladder_bytes + fm_bytes + st_bytes
-  + Transform.size_bytes t.tr
+  S.Ints.byte_size t.sa + rmq_bytes + dead_bytes + stored_bytes
+  + ladder_bytes + fm_bytes + Transform.size_bytes t.tr
 
 let stats t =
   Printf.sprintf
@@ -669,15 +604,12 @@ let stats t =
     (match t.cfg.metric with Max -> "max" | Or_metric -> "or")
     (Rmq.kind_to_string t.cfg.rmq_kind
     ^
-    match t.cfg.range_search with
-    | Rs_binary -> ""
-    | Rs_fm -> "+fm"
-    | Rs_tree -> "+tree")
+    match t.cfg.range_search with Rs_binary -> "" | Rs_fm -> "+fm")
     (size_words t) (Transform.stats t.tr)
 
 (* ------------------------------------------------------------------ *)
 (* Persistence: PTI-ENGINE-4 container format (minimal-width packed
-   sections; ENGINE-3 and legacy ENGINE-2 files still load).
+   sections).
 
    Every engine array becomes a named section of a {!Pti_storage}
    container; the RMQ index arrays are persisted too, so [load] is a
@@ -686,21 +618,13 @@ let stats t =
    same engine always produces byte-identical files (the parallel test
    suite relies on this across domain counts). *)
 
-let magic = S.magic
-
 let backend_tag = function Packed -> 0 | Succinct -> 1
 
 let save_to_writer t w =
   S.Writer.add_bytes w "cfg" (Marshal.to_string t.cfg []);
   S.Writer.add_ints w "meta" [| t.n; t.max_short; backend_tag t.backend |];
-  (* the succinct backend drops sections that are pure construction
-     artefacts: the LCP array and the raw per-position logs are never
-     read on the query path *)
-  Transform.save_parts ~with_logs:(t.backend = Packed) w t.tr;
+  Transform.save_parts w t.tr;
   S.Writer.add_ints_ba w "sa" t.sa;
-  (match t.backend with
-  | Packed -> S.Writer.add_ints_ba w "lcp" t.lcp
-  | Succinct -> ());
   (match t.cfg.metric with
   | Max ->
       Array.iteri
@@ -721,39 +645,36 @@ let save_to_writer t w =
   Array.iteri
     (fun i r -> Rmq.save_parts w ~prefix:(Printf.sprintf "rmq.ladder.%d" (i + 1)) r)
     t.ladder_rmq;
-  (match t.fm with
+  match t.fm with
   | None -> ()
-  | Some fm -> Pti_succinct.Fm_index.save_parts w ~prefix:"fm" fm);
-  match t.st with
-  | None -> ()
-  | Some st -> S.Writer.add_bytes w "st" (Marshal.to_string st [])
+  | Some fm -> Pti_succinct.Fm_index.save_parts w ~prefix:"fm" fm
 
-let save ?format ?extra t path =
-  let w = S.Writer.create ?format path in
+let save ?extra t path =
+  let w = S.Writer.create path in
   save_to_writer t w;
   (match extra with None -> () | Some f -> f w);
   S.Writer.close w
 
 let open_reader ~key_of_pos r =
-  let cfg : config = Marshal.from_string (S.Reader.blob r "cfg") 0 in
+  (* Layouts this code no longer reads are refused before [cfg] is
+     unmarshalled: a suffix-tree ("st") container's [cfg] names a range
+     search that no longer exists. *)
+  if S.Reader.has r "st" then S.retired "st" "a suffix-tree range-search index";
+  if S.Reader.has r "fm" then S.retired "fm" "a marshalled FM-index";
   let meta = S.Reader.ints r "meta" in
-  (* arity 2: pre-backend containers, always packed *)
-  if S.Ints.length meta <> 2 && S.Ints.length meta <> 3 then
+  if S.Ints.length meta = 2 then S.retired "meta" "a pre-backend engine";
+  if S.Ints.length meta <> 3 then
     raise (S.Corrupt { section = "meta"; reason = "engine meta has wrong arity" });
+  let cfg : config = Marshal.from_string (S.Reader.blob r "cfg") 0 in
   let n = S.Ints.get meta 0 and max_short = S.Ints.get meta 1 in
   let backend =
-    if S.Ints.length meta = 2 then Packed
-    else
-      match S.Ints.get meta 2 with
-      | 0 -> Packed
-      | 1 -> Succinct
-      | k ->
-          raise
-            (S.Corrupt
-               {
-                 section = "meta";
-                 reason = Printf.sprintf "unknown backend tag %d" k;
-               })
+    match S.Ints.get meta 2 with
+    | 0 -> Packed
+    | 1 -> Succinct
+    | k ->
+        raise
+          (S.Corrupt
+             { section = "meta"; reason = Printf.sprintf "unknown backend tag %d" k })
   in
   let tr = Transform.open_parts r in
   let text = Transform.text_storage tr in
@@ -768,16 +689,9 @@ let open_reader ~key_of_pos r =
                (S.Ints.length text) n;
          });
   let sa = S.Reader.ints r "sa" in
-  (* lcp is a construction artefact; succinct containers omit it *)
-  let lcp =
-    if S.Reader.has r "lcp" then S.Reader.ints r "lcp"
-    else S.Ints.of_array [||]
-  in
-  if S.Ints.length sa <> n || (S.Reader.has r "lcp" && S.Ints.length lcp <> n)
-  then
+  if S.Ints.length sa <> n then
     raise
-      (S.Corrupt
-         { section = "sa"; reason = "suffix/LCP array length mismatch with N" });
+      (S.Corrupt { section = "sa"; reason = "suffix array length mismatch with N" });
   let dead, stored =
     match cfg.metric with
     | Max ->
@@ -812,19 +726,7 @@ let open_reader ~key_of_pos r =
   in
   let fm =
     if S.Reader.has r "fm.meta" then
-      (* current layout: named sections, mapped in place *)
       Some (Pti_succinct.Fm_index.open_parts r ~prefix:"fm")
-    else if S.Reader.has r "fm" then
-      (* pre-section containers: one Marshal blob of the old heap records *)
-      let legacy : Pti_succinct.Fm_index.Legacy.t =
-        Marshal.from_string (S.Reader.blob r "fm") 0
-      in
-      Some (Pti_succinct.Fm_index.of_legacy legacy)
-    else None
-  in
-  let st =
-    if S.Reader.has r "st" then
-      Some (Marshal.from_string (S.Reader.blob r "st") 0)
     else None
   in
   {
@@ -835,7 +737,6 @@ let open_reader ~key_of_pos r =
     text;
     pos;
     sa;
-    lcp;
     n;
     max_short;
     dead;
@@ -845,120 +746,7 @@ let open_reader ~key_of_pos r =
     ladder_rmq;
     ladder_max;
     fm;
-    st;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Legacy PTI-ENGINE-2 format: a magic line followed by one [Marshal]ed
-   record of plain heap arrays; RMQs were rebuilt at every load.
-
-   Deprecated — kept only so pre-existing index files keep loading (and
-   as the baseline of the io benchmark). [Marshal] is structural, so the
-   mirror records below decode files written against the old record
-   definitions. *)
-
-module Legacy = struct
-  type parray = { cum : float array; zeros : int array; logs : float array }
-
-  type transform = {
-    source : Pti_ustring.Ustring.t;
-    tau_min : float;
-    text : int array;
-    pos : int array;
-    parray : parray;
-    n_factors : int;
-    n_skipped : int;
-    has_correlations : bool;
-  }
-
-  type parts = {
-    p_cfg : config;
-    p_tr : transform;
-    p_sa : int array;
-    p_lcp : int array;
-    p_max_short : int;
-    p_dead : Bytes.t array;
-    p_stored : float array array;
-    p_ladder_sizes : int array;
-    p_ladder_max : float array array;
-    p_fm : Pti_succinct.Fm_index.Legacy.t option;
-    p_st : Pti_suffix.Suffix_tree.t option;
-  }
-end
-
-let legacy_magic = "PTI-ENGINE-2\n"
-
-let save_legacy_channel t oc =
-  let cum, zeros, _logs = Pti_prob.Parray.raw (Transform.parray t.tr) in
-  let legacy_tr =
-    {
-      Legacy.source = Transform.source t.tr;
-      tau_min = Transform.tau_min t.tr;
-      text = S.Ints.to_array t.text;
-      pos = S.Ints.to_array t.pos;
-      parray =
-        {
-          Legacy.cum = S.Floats.to_array cum;
-          zeros = S.Ints.to_array zeros;
-          logs = Pti_prob.Parray.raw_logs (Transform.parray t.tr);
-        };
-      n_factors = Transform.n_factors t.tr;
-      n_skipped = Transform.n_skipped t.tr;
-      has_correlations = Transform.has_correlations t.tr;
-    }
-  in
-  let parts =
-    {
-      Legacy.p_cfg = t.cfg;
-      p_tr = legacy_tr;
-      p_sa = S.Ints.to_array t.sa;
-      p_lcp = S.Ints.to_array t.lcp;
-      p_max_short = t.max_short;
-      p_dead = Array.map S.Bits.to_bytes t.dead;
-      p_stored = Array.map S.Floats.to_array t.stored;
-      p_ladder_sizes = t.ladder_sizes;
-      p_ladder_max = Array.map S.Floats.to_array t.ladder_max;
-      p_fm = Option.map Pti_succinct.Fm_index.to_legacy t.fm;
-      p_st = t.st;
-    }
-  in
-  output_string oc legacy_magic;
-  Marshal.to_channel oc parts []
-
-let save_legacy t path =
-  S.atomic_save path (fun oc -> save_legacy_channel t oc)
-
-let load_legacy_channel ?domains ~key_of_pos ic =
-  let buf = really_input_string ic (String.length legacy_magic) in
-  if buf <> legacy_magic then
-    invalid_arg "Engine.load: bad magic (not a pti engine file)";
-  let parts : Legacy.parts = Marshal.from_channel ic in
-  let tr =
-    Transform.of_legacy ~source:parts.p_tr.source ~tau_min:parts.p_tr.tau_min
-      ~text:parts.p_tr.text ~pos:parts.p_tr.pos ~logs:parts.p_tr.parray.logs
-      ~n_factors:parts.p_tr.n_factors ~n_skipped:parts.p_tr.n_skipped
-  in
-  finish ?domains ~key_of_pos
-    {
-      c_cfg = parts.p_cfg;
-      c_backend = Packed;
-      c_tr = tr;
-      c_sa = S.Ints.of_array parts.p_sa;
-      c_lcp = S.Ints.of_array parts.p_lcp;
-      c_max_short = parts.p_max_short;
-      c_dead = Array.map S.Bits.of_bytes parts.p_dead;
-      c_stored = Array.map S.Floats.of_array parts.p_stored;
-      c_ladder_sizes = parts.p_ladder_sizes;
-      c_ladder_max = Array.map S.Floats.of_array parts.p_ladder_max;
-      c_fm = Option.map Pti_succinct.Fm_index.of_legacy parts.p_fm;
-      c_st = parts.p_st;
-    }
-
-let load ?domains ?verify ~key_of_pos path =
-  if S.file_has_magic path then
-    open_reader ~key_of_pos (S.Reader.open_file ?verify path)
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        load_legacy_channel ?domains ~key_of_pos ic)
-  end
+let load ?verify ~key_of_pos path =
+  open_reader ~key_of_pos (S.Reader.open_file ?verify path)

@@ -1,6 +1,6 @@
 (** Shared query engine over a transformed uncertain string (§4–§6).
 
-    The engine owns the suffix array, LCP array, the per-length
+    The engine owns the suffix array, the per-length
     probability RMQ structures [RMQ_1 .. RMQ_(log N)] with
     duplicate-elimination (Algorithms 1 and 3), and the blocking scheme
     for long patterns. It is parameterised by:
@@ -49,9 +49,6 @@ type range_search =
       (** FM-index backward search, O(m log σ) without text access —
           the compressed-suffix-array role of §8.7. Adds the wavelet
           tree of the BWT to the index. *)
-  | Rs_tree
-      (** Suffix-tree locus walk, O(m + σ) — the literal §3.4 method.
-          Adds the materialised suffix tree to the index. *)
 
 type config = {
   rmq_kind : Pti_rmq.Rmq.kind;
@@ -65,13 +62,12 @@ val default_config : config
 
 type backend =
   | Packed
-      (** Every construction artefact persisted: Fischer–Heun RMQs, LCP
-          array, raw per-position logs. Fastest queries. *)
+      (** Fischer–Heun RMQs and suffix-array binary search. Fastest
+          queries. *)
   | Succinct
       (** Space-lean serving layout: signature-only block RMQs (≈2 bits
-          per element per level), FM-index range search instead of
-          suffix-array binary search, and the LCP / raw-log sections
-          dropped from the container. Targets < 4 words per text
+          per element per level) and FM-index range search instead of
+          suffix-array binary search. Targets < 4 words per text
           position at a small constant-factor query latency cost. *)
 
 val backend_to_string : backend -> string
@@ -111,7 +107,7 @@ val config : t -> config
 
 val backend : t -> backend
 (** The layout this engine was built with (or that its container
-    recorded; legacy loads report [Packed]). *)
+    recorded). *)
 
 val max_short : t -> int
 (** ⌈log₂ N⌉: the short/long pattern boundary. *)
@@ -165,8 +161,7 @@ val query_batch :
 (** [query_batch t ~patterns] answers [patterns.(i) = (pattern, tau)]
     into slot [i] of the result, sharding the batch across the domain
     pool ([?domains] as in {!build}). Safe without any locking because
-    queries only {e read} the engine: every structure ([sa], [lcp], the
-    RMQs, bitmaps, the transform) is immutable after construction, and
+    queries only {e read} the engine: every structure ([sa], the RMQs, bitmaps, the transform) is immutable after construction, and
     per-query traversal state is allocated per query. Results are
     identical to mapping {!query} over the batch, for every domain
     count. Raises (the first) [Invalid_argument] raised by an invalid
@@ -186,7 +181,7 @@ val stats : t -> string
 (** {2 Persistence}
 
     An engine saves into a {!Pti_storage} container ("PTI-ENGINE-4"):
-    every array — transform, suffix/LCP arrays, duplicate-elimination
+    every array — transform, suffix array, duplicate-elimination
     bitmaps, OR-metric value arrays, ladder maxima, and the RMQ index
     tables — becomes a named, checksummed, 8-byte-aligned section
     packed at the minimal byte width covering its values (DESIGN.md
@@ -195,62 +190,32 @@ val stats : t -> string
     of N up to the optional checksum pass. Mapped engines are immutable
     and page-cache-shared, so concurrent domains ({!query_batch}) and
     separate OS processes serving the same file share one physical copy.
-    Only the source string and the optional FM-index / suffix tree
-    remain [Marshal] blobs (the source is deserialized lazily, eagerly
-    only for correlated inputs).
-
-    Earlier formats still read transparently through {!load}:
-    "PTI-ENGINE-3" containers (same layout, every element a 64-bit
-    word) and the deprecated "PTI-ENGINE-2" format (one [Marshal]ed
-    record, RMQs rebuilt at load); {!save_legacy} keeps writing the
-    latter for migration tests and the io benchmark baseline. *)
+    Only small records (the config, the transform's metadata) and the
+    source string remain [Marshal] blobs (the source is deserialized
+    lazily, eagerly only for correlated inputs). The LCP array and the
+    per-position logs are construction artefacts and are not saved. *)
 
 val save :
-  ?format:Pti_storage.format ->
   ?extra:(Pti_storage.Writer.t -> unit) ->
   t ->
   string ->
   unit
-(** Write the engine to [path] (default format {!Pti_storage.V4},
-    packed; [~format:V3] writes the previous all-64-bit layout, e.g.
-    for benchmarking packing itself). [extra] may append wrapper-owned
+(** Write the engine to [path]. [extra] may append wrapper-owned
     sections (e.g. the listing index' document blobs) to the same
     container before it is laid out and checksummed. Identical engines
     produce byte-identical files. *)
 
-val load :
-  ?domains:int ->
-  ?verify:bool ->
-  key_of_pos:(int -> int) ->
-  string ->
-  t
-(** Open an index file, dispatching on its magic: "PTI-ENGINE-4" and
-    "PTI-ENGINE-3" files
-    are memory-mapped ([verify] as in {!Pti_storage.Reader.open_file};
-    [domains] is irrelevant — nothing is rebuilt); legacy "PTI-ENGINE-2"
-    files take the deprecated unmarshal-and-rebuild path ([domains]
-    shards the RMQ rebuild, [verify] is ignored). [key_of_pos] must be
-    the same mapping used at build time (the identity for substring
-    indexes; wrappers persist what they need to reconstruct theirs).
-    Raises {!Pti_storage.Corrupt} on a damaged container,
-    [Invalid_argument] on an unrecognized magic. *)
+val load : ?verify:bool -> key_of_pos:(int -> int) -> string -> t
+(** Memory-map an index file ([verify] as in
+    {!Pti_storage.Reader.open_file}); nothing is rebuilt. [key_of_pos]
+    must be the same mapping used at build time (the identity for
+    substring indexes; wrappers persist what they need to reconstruct
+    theirs). Raises {!Pti_storage.Corrupt} on a damaged container or a
+    retired format. *)
 
 val open_reader : key_of_pos:(int -> int) -> Pti_storage.Reader.t -> t
 (** {!load} for an already-open container — wrappers use this to read
-    their own sections from the same reader. *)
-
-val magic : string
-(** The current container magic, [Pti_storage.magic]. *)
-
-val legacy_magic : string
-(** ["PTI-ENGINE-2\n"]. *)
-
-val save_legacy : t -> string -> unit
-(** Write the deprecated marshalled format (for migration tests and the
-    legacy-vs-mmap benchmark). *)
-
-val save_legacy_channel : t -> out_channel -> unit
-val load_legacy_channel :
-  ?domains:int -> key_of_pos:(int -> int) -> in_channel -> t
-(** Channel-level legacy access for wrappers whose old format prepended
-    their own marshalled data to the engine stream. *)
+    their own sections from the same reader. Containers of a retired
+    engine layout (a suffix-tree "st" section, a marshalled "fm"
+    FM-index, a two-element "meta") raise {!Pti_storage.Corrupt}
+    before any [Marshal] blob is read. *)

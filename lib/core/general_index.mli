@@ -62,14 +62,9 @@ val size_words : t -> int
 val size_bytes : t -> int
 (** Byte-accurate space accounting; see {!Engine.size_bytes}. *)
 
-val save : ?format:Pti_storage.format -> t -> string -> unit
-(** Persist the index as a "PTI-ENGINE-4" container (see {!Engine.save};
-    [~format:V3] writes the previous all-64-bit layout). *)
+val save : t -> string -> unit
+(** Persist the index as a "PTI-ENGINE-4" container (see {!Engine.save}). *)
 
-val save_legacy : t -> string -> unit
-(** Write the deprecated "PTI-ENGINE-2" marshalled format. *)
-
-val load : ?domains:int -> ?verify:bool -> string -> t
-(** Open a saved index: current-format files are memory-mapped with no
-    rebuild work at all; legacy files are unmarshalled and their RMQs
-    rebuilt across [?domains]. See {!Engine.load}. *)
+val load : ?verify:bool -> string -> t
+(** Open a saved index: the container is memory-mapped with no rebuild
+    work at all. See {!Engine.load}. *)

@@ -85,44 +85,23 @@ let doc_map docs =
    map ("listing.doc_of", read zero-copy to rebuild [key_of_pos]), and
    the documents themselves as a lazily-deserialized blob
    ("listing.docs"). *)
-let save ?format ?(extra = fun (_ : S.Writer.t) -> ()) t path =
+let save ?(extra = fun (_ : S.Writer.t) -> ()) t path =
   let docs = Lazy.force t.docs in
-  Engine.save ?format t.engine path ~extra:(fun w ->
+  Engine.save t.engine path ~extra:(fun w ->
       S.Writer.add_bytes w "listing.meta"
         (Marshal.to_string (t.relevance, t.n_docs) []);
       S.Writer.add_ints w "listing.doc_of" (doc_map docs);
       S.Writer.add_bytes w "listing.docs" (Marshal.to_string docs []);
       extra w)
 
-(* Legacy format: [Marshal (docs, relevance)] followed by the legacy
-   engine stream in the same file. *)
-let save_legacy t path =
-  S.atomic_save path (fun oc ->
-      Marshal.to_channel oc (Lazy.force t.docs, t.relevance) [];
-      Engine.save_legacy_channel t.engine oc)
-
-let load ?domains ?verify path =
-  if S.file_has_magic path then begin
-    let r = S.Reader.open_file ?verify path in
-    let relevance, n_docs =
-      (Marshal.from_string (S.Reader.blob r "listing.meta") 0 : relevance * int)
-    in
-    let doc_of = S.Reader.ints r "listing.doc_of" in
-    let engine = Engine.open_reader ~key_of_pos:(S.Ints.get doc_of) r in
-    let docs = lazy (Marshal.from_string (S.Reader.blob r "listing.docs") 0) in
-    { engine; docs; n_docs; relevance }
-  end
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        let docs, relevance =
-          (Marshal.from_channel ic : Ustring.t array * relevance)
-        in
-        let doc_of = doc_map docs in
-        let engine =
-          Engine.load_legacy_channel ?domains
-            ~key_of_pos:(fun p -> doc_of.(p))
-            ic
-        in
-        { engine; docs = Lazy.from_val docs; n_docs = Array.length docs; relevance })
-  end
+(* The engine is opened first, so a retired engine layout is refused
+   before any listing blob is unmarshalled. *)
+let load ?verify path =
+  let r = S.Reader.open_file ?verify path in
+  let doc_of = S.Reader.ints r "listing.doc_of" in
+  let engine = Engine.open_reader ~key_of_pos:(S.Ints.get doc_of) r in
+  let relevance, n_docs =
+    (Marshal.from_string (S.Reader.blob r "listing.meta") 0 : relevance * int)
+  in
+  let docs = lazy (Marshal.from_string (S.Reader.blob r "listing.docs") 0) in
+  { engine; docs; n_docs; relevance }

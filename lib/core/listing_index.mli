@@ -82,7 +82,6 @@ val size_bytes : t -> int
 (** Byte-accurate space accounting; see {!Engine.size_bytes}. *)
 
 val save :
-  ?format:Pti_storage.format ->
   ?extra:(Pti_storage.Writer.t -> unit) ->
   t ->
   string ->
@@ -93,10 +92,7 @@ val save :
     listing's own (the segment store records its slot → document-id
     map this way). *)
 
-val save_legacy : t -> string -> unit
-(** Write the deprecated marshalled format. *)
-
-val load : ?domains:int -> ?verify:bool -> string -> t
-(** Open a saved index; current-format files are memory-mapped, with
-    the documents deserialized lazily on first {!doc} access. Legacy
-    files take the unmarshal-and-rebuild path. See {!Engine.load}. *)
+val load : ?verify:bool -> string -> t
+(** Open a saved index: the container is memory-mapped, with the
+    documents deserialized lazily on first {!doc} access. See
+    {!Engine.load}. *)

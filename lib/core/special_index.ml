@@ -21,7 +21,5 @@ let engine t = t.engine
 let size_words t = Engine.size_words t.engine
 let size_bytes t = Engine.size_bytes t.engine
 
-let save ?format t path = Engine.save ?format t.engine path
-
-let load ?domains ?verify path =
-  { engine = Engine.load ?domains ?verify ~key_of_pos:(fun p -> p) path }
+let save t path = Engine.save t.engine path
+let load ?verify path = { engine = Engine.load ?verify ~key_of_pos:(fun p -> p) path }

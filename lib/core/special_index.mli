@@ -47,10 +47,9 @@ val size_words : t -> int
 val size_bytes : t -> int
 (** Byte-accurate space accounting; see {!Engine.size_bytes}. *)
 
-val save : ?format:Pti_storage.format -> t -> string -> unit
-(** Persist the index as a "PTI-ENGINE-4" container (see {!Engine.save};
-    [~format:V3] writes the previous all-64-bit layout). *)
+val save : t -> string -> unit
+(** Persist the index as a "PTI-ENGINE-4" container (see {!Engine.save}). *)
 
-val load : ?domains:int -> ?verify:bool -> string -> t
+val load : ?verify:bool -> string -> t
 (** Open a saved index; current-format files are memory-mapped. See
     {!Engine.load}. *)

@@ -4,9 +4,6 @@ type t = {
   n : int;
   cum : S.floats; (* cum.(i) = sum of finite logs of positions [0..i-1] *)
   zeros : S.ints; (* zeros.(i) = number of zero-probability positions in [0..i-1] *)
-  logs : S.floats option; (* per-position raw log values; None when the
-                             container dropped them (succinct backend) —
-                             [get] then derives from cum/zeros diffs *)
 }
 
 let of_logps logs =
@@ -24,27 +21,11 @@ let of_logps logs =
       zeros.(i + 1) <- zeros.(i)
     end
   done;
-  {
-    n;
-    cum = S.Floats.of_array cum;
-    zeros = S.Ints.of_array zeros;
-    logs = Some (S.Floats.of_array (Array.map Logp.to_log logs));
-  }
+  { n; cum = S.Floats.of_array cum; zeros = S.Ints.of_array zeros }
 
 let of_probs probs = of_logps (Array.map Logp.of_prob probs)
 
 let length t = t.n
-
-let derived_log t i =
-  if S.Ints.get t.zeros (i + 1) - S.Ints.get t.zeros i > 0 then neg_infinity
-  else S.Floats.get t.cum (i + 1) -. S.Floats.get t.cum i
-
-let get t i =
-  match t.logs with
-  | Some logs -> Logp.of_log (S.Floats.get logs i)
-  | None ->
-      if i < 0 || i >= t.n then invalid_arg "Parray.get: out of range";
-      Logp.of_log (Float.min 0.0 (derived_log t i))
 
 let window t ~pos ~len =
   let n = length t in
@@ -62,23 +43,11 @@ let prefix t j =
   if S.Ints.get t.zeros j > 0 then Logp.zero
   else Logp.of_log (Float.min 0.0 (S.Floats.get t.cum j))
 
-let size_bytes t =
-  S.Floats.byte_size t.cum + S.Ints.byte_size t.zeros
-  + (match t.logs with Some l -> S.Floats.byte_size l | None -> 0)
+let size_bytes t = S.Floats.byte_size t.cum + S.Ints.byte_size t.zeros
+let raw t = (t.cum, t.zeros)
 
-let raw t = (t.cum, t.zeros, t.logs)
-
-let of_storage ~cum ~zeros ~logs =
+let of_storage ~cum ~zeros =
   let n = S.Floats.length cum - 1 in
   if n < 0 || S.Ints.length zeros <> n + 1 then
     invalid_arg "Parray.of_storage: inconsistent section lengths";
-  (match logs with
-  | Some l when S.Floats.length l <> n ->
-      invalid_arg "Parray.of_storage: inconsistent section lengths"
-  | _ -> ());
-  { n; cum; zeros; logs }
-
-let raw_logs t =
-  match t.logs with
-  | Some logs -> S.Floats.to_array logs
-  | None -> Array.init t.n (derived_log t)
+  { n; cum; zeros }

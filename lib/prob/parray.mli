@@ -20,9 +20,6 @@ val of_probs : float array -> t
 
 val length : t -> int
 
-val get : t -> int -> Logp.t
-(** [get t i] is the probability of position [i] alone. *)
-
 val window : t -> pos:int -> len:int -> Logp.t
 (** [window t ~pos ~len] is the product of positions
     [pos, pos+1, ..., pos+len-1]. Raises [Invalid_argument] if the window
@@ -33,7 +30,7 @@ val prefix : t -> int -> Logp.t
     {!Logp.one}. *)
 
 val size_bytes : t -> int
-(** Exact bytes of the three backing arrays in their current
+(** Exact bytes of the two backing arrays in their current
     representation (packed views count at their packed width). *)
 
 (** {2 Storage backing}
@@ -42,24 +39,10 @@ val size_bytes : t -> int
     array can be served zero-copy from a mapped index file; the
     accessors below exist for the persistence layer only. *)
 
-val raw :
-  t -> Pti_storage.floats * Pti_storage.ints * Pti_storage.floats option
-(** [(cum, zeros, logs)] — the cumulative log sums (length n+1), the
-    zero-probability prefix counts (length n+1) and the raw per-position
-    log values (length n; [None] when the container dropped them). *)
+val raw : t -> Pti_storage.floats * Pti_storage.ints
+(** [(cum, zeros)] — the cumulative log sums and the zero-probability
+    prefix counts, both of length n+1. *)
 
-val of_storage :
-  cum:Pti_storage.floats ->
-  zeros:Pti_storage.ints ->
-  logs:Pti_storage.floats option ->
-  t
+val of_storage : cum:Pti_storage.floats -> zeros:Pti_storage.ints -> t
 (** Rebuild from views previously obtained via {!raw} (typically mapped
-    from a file). [logs] may be [None] — the succinct backend drops the
-    raw log section; {!get} then derives per-position values from
-    cumulative differences (exact zeros, float-rounded magnitudes) and
-    {!window}/{!prefix} are unaffected. Raises [Invalid_argument] on
-    inconsistent lengths. *)
-
-val raw_logs : t -> float array
-(** Heap copy of the raw log values (legacy persistence only); derived
-    from cumulative differences when the raw section was dropped. *)
+    from a file). Raises [Invalid_argument] on inconsistent lengths. *)

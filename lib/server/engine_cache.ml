@@ -5,16 +5,10 @@ module S = Pti_storage
 type handle = General of G.t | Listing of L.t
 
 (* Sniff the container kind from its section table without loading:
-   listing indexes own a "listing.meta" section. Legacy marshal files
-   (no container magic) only ever held general indexes in this
-   codebase's CLI, so they take the general path. *)
+   listing indexes own a "listing.meta" section. *)
 let load_handle ?verify path =
   ignore (Pti_fault.hit "cache.open" : int option);
-  let is_listing =
-    S.file_has_magic path
-    && S.Reader.has (S.Reader.open_file ~verify:false path) "listing.meta"
-  in
-  if is_listing then Listing (L.load ?verify path)
+  if S.Reader.has (S.Reader.open_file ~verify:false path) "listing.meta" then Listing (L.load ?verify path)
   else General (G.load ?verify path)
 
 type entry = { handle : handle; mutable last_use : int }

@@ -10,8 +10,7 @@
 
     A loaded handle is classified by sniffing the container's section
     table: files with a ["listing.meta"] section open as listing
-    indexes, everything else as substring (general) indexes. Legacy
-    marshal files open as general indexes. *)
+    indexes, everything else as substring (general) indexes. *)
 
 type handle =
   | General of Pti_core.General_index.t
@@ -20,7 +19,8 @@ type handle =
 val load_handle : ?verify:bool -> string -> handle
 (** Open one file, dispatching on its sections as described above.
     Raises whatever {!Pti_core.General_index.load} /
-    {!Pti_core.Listing_index.load} raise on damaged files. *)
+    {!Pti_core.Listing_index.load} raise on damaged files or files of a
+    retired format ({!Pti_storage.Corrupt}). *)
 
 type t
 

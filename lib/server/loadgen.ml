@@ -33,6 +33,9 @@ let mix_of_string s =
     parts;
   !m
 
+let default_mix ~listing_index =
+  { query = 8; top_k = 1; listing = (match listing_index with Some _ -> 1 | None -> 0) }
+
 type result = {
   sent : int;
   ok : int;

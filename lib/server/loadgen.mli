@@ -21,6 +21,12 @@ val mix_of_string : string -> mix
 (** Parse ["query=8,topk=1,listing=1"] (missing kinds weigh 0). Raises
     [Failure] on malformed input. *)
 
+val default_mix : listing_index:int option -> mix
+(** The mix when none is given: query=8,topk=1, plus listing=1 when a
+    listing index is named. Without one, listings would go to the main
+    index, which is usually not a listing container, and come back as
+    [bad_request]. *)
+
 type result = {
   sent : int;
   ok : int;  (** Requests that eventually succeeded (retries included). *)

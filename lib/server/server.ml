@@ -344,13 +344,27 @@ let pend_add pb b off len =
   Bytes.blit b off pb.data (pb.start + pb.len) len;
   pb.len <- pb.len + len
 
+(* Move handed-off replies into [pend]. They pass the [server.reply]
+   failpoint here, as every reply does on its way out; an empty hand-off
+   list costs one atomic exchange. [true] when an injected short write
+   cut them: the caller sends what is left in [pend], then breaks the
+   connection. *)
 let take_handoff conn =
   match Atomic.exchange conn.handoff [] with
-  | [] -> ()
-  | l ->
+  | [] -> false
+  | l -> (
+      let pb = conn.pend in
+      let before = pb.len in
       List.iter
-        (fun s -> pend_add conn.pend (Bytes.unsafe_of_string s) 0 (String.length s))
-        (List.rev l)
+        (fun s -> pend_add pb (Bytes.unsafe_of_string s) 0 (String.length s))
+        (List.rev l);
+      match Pti_fault.hit "server.reply" with
+      | None -> false
+      | Some short ->
+          pb.len <- Stdlib.min pb.len (before + short);
+          true)
+
+let torn_reply call = raise (Unix.Unix_error (Unix.EPIPE, call, "failpoint"))
 
 let pend_consume pb n =
   pb.start <- pb.start + n;
@@ -359,23 +373,24 @@ let pend_consume pb n =
 
 (* A dead connection's unsent bytes go nowhere. *)
 let discard conn =
-  take_handoff conn;
+  Atomic.set conn.handoff [];
   pend_consume conn.pend conn.pend.len
 
 (* A worker's flush: blocking, like the frames that follow it. *)
 let flush_pend t conn =
-  take_handoff conn;
+  let torn = take_handoff conn in
   let pb = conn.pend in
   if pb.len > 0 then begin
     Metrics.incr_worker_write t.metrics;
     P.write_sub conn.fd pb.data pb.start pb.len;
     pend_consume pb pb.len
-  end
+  end;
+  if torn then torn_reply "write"
 
 (* The loop's send: flush what is pending, then [b[off, off+len)],
    without ever waiting; whatever the socket refuses stays in [pend]. *)
 let send_nonblock t conn b off len =
-  take_handoff conn;
+  let torn = take_handoff conn in
   let pb = conn.pend in
   let full = ref false in
   while pb.len > 0 && not !full do
@@ -384,6 +399,7 @@ let send_nonblock t conn b off len =
     | -1 -> full := true
     | n -> pend_consume pb n
   done;
+  if torn then torn_reply "send";
   let off = ref off and len = ref len in
   while !len > 0 && not !full do
     Metrics.incr_loop_send t.metrics;
@@ -430,7 +446,7 @@ let write_outcomes t conn items =
                  "connection" breaks *)
               P.write_sub conn.fd (P.Wbuf.unsafe_data b) 0
                 (Stdlib.min short (P.Wbuf.length b));
-              raise (Unix.Unix_error (Unix.EPIPE, "write", "failpoint"))
+              torn_reply "write"
           | None -> P.write_wbuf conn.fd b
         with Unix.Unix_error _ | Sys_error _ ->
           conn.alive <- false;
@@ -480,7 +496,7 @@ let loop_send t conn b off len =
          match if len > 0 then Pti_fault.hit "server.reply" else None with
          | Some short ->
              send_nonblock t conn b off (Stdlib.min short len);
-             raise (Unix.Unix_error (Unix.EPIPE, "send", "failpoint"))
+             torn_reply "send"
          | None -> send_nonblock t conn b off len
      with Unix.Unix_error _ -> conn.alive <- false);
     let pending = conn.alive && conn.pend.len > 0 in

@@ -3,12 +3,15 @@ exception Corrupt of { section : string; reason : string }
 let corrupt section fmt =
   Printf.ksprintf (fun reason -> raise (Corrupt { section; reason })) fmt
 
+(* Refusal of a layout this code no longer reads. *)
+let retired section what =
+  corrupt section "%s is a retired index format; rebuild with `pti build`" what
+
 type i64_arr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type u8_arr = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 type u16_arr = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 type u32_arr = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type f64_arr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type f32_arr = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* An int view is either a native 63-bit array (heap-built structures,
    and u64 file sections) or a minimal-width packed section of the
@@ -22,7 +25,7 @@ type ints =
   | U16 of u16_arr * int
   | U32 of u32_arr * int
 
-type floats = F64 of f64_arr | F32 of f32_arr
+type floats = f64_arr
 
 type bytes_view = u8_arr
 
@@ -87,44 +90,19 @@ module Ints = struct
 end
 
 module Floats = struct
-  let empty : floats =
-    F64 (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0)
-
-  let create n : floats =
-    let b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    Bigarray.Array1.fill b 0.0;
-    F64 b
-
-  let set (b : floats) i v =
-    match b with
-    | F64 a -> Bigarray.Array1.set a i v
-    | F32 _ -> invalid_arg "Pti_storage.Floats.set: packed views are read-only"
-
   let of_array a : floats =
     let b =
       Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Array.length a)
     in
     Array.iteri (fun i v -> Bigarray.Array1.unsafe_set b i v) a;
-    F64 b
+    b
 
-  let length (b : floats) =
-    match b with
-    | F64 a -> Bigarray.Array1.dim a
-    | F32 a -> Bigarray.Array1.dim a
-
-  let get (b : floats) i =
-    match b with
-    | F64 a -> Bigarray.Array1.get a i
-    | F32 a -> Bigarray.Array1.get a i
-
-  let unsafe_get (b : floats) i =
-    match b with
-    | F64 a -> Bigarray.Array1.unsafe_get a i
-    | F32 a -> Bigarray.Array1.unsafe_get a i
-
+  (* Annotated so the primitives specialise to float64 loads. *)
+  let length (b : floats) = Bigarray.Array1.dim b
+  let get (b : floats) i = Bigarray.Array1.get b i
+  let unsafe_get (b : floats) i = Bigarray.Array1.unsafe_get b i
   let to_array (b : floats) = Array.init (length b) (get b)
-  let width (b : floats) = match b with F64 _ -> 8 | F32 _ -> 4
-  let byte_size (b : floats) = width b * length b
+  let byte_size (b : floats) = 8 * length b
 end
 
 module Bits = struct
@@ -152,23 +130,23 @@ end
 (* Container layout.
 
    The envelope (header, section table, checksums) is 64-bit
-   little-endian words. Since version 4, int and float payloads are
-   stored at the minimal byte width covering the section's value range
-   (u8/u16/u32/u64 and f64/f32); version-3 files store every array
-   element as a full 64-bit word and still load transparently.
+   little-endian words. Int payloads are stored at the minimal byte
+   width covering the section's value range (u8/u16/u32/u64); floats
+   are f64. Files with a retired magic are refused up front.
 
    Values are read back through [Bigarray] views; checksums work in
    native-int (63-bit) arithmetic on both sides so the write- and
    read-side computations agree bit for bit. *)
 
-type format = V3 | V4
-
 let magic = "PTI-ENGINE-4\n"
-let magic_v3 = "PTI-ENGINE-3\n"
-let pad_magic m = m ^ String.make (16 - String.length m) '\000'
-let magic_padded = pad_magic magic
-let magic_v3_padded = pad_magic magic_v3
+let magic_padded = magic ^ String.make (16 - String.length magic) '\000'
+
+(* Magics of earlier formats: recognised only to say why the file is
+   refused. ENGINE-2 was one Marshal stream, ENGINE-3 the same container
+   with every element a 64-bit word. *)
+let retired_magics = [ "PTI-ENGINE-2\n"; "PTI-ENGINE-3\n" ]
 let header_bytes = 48
+let entry_words = 6 (* kind, offset, length, checksum, width, bias *)
 let sentinel = 0x0123456789ABCDEF
 let k_ints = 0
 let k_floats = 1
@@ -244,33 +222,6 @@ let fsync_dir path =
 
 let temp_path path = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
 
-let atomic_save path f =
-  let tmp = temp_path path in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         f oc;
-         flush oc;
-         fsync_retry (Unix.descr_of_out_channel oc));
-     rename_retry tmp path
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  fsync_dir path
-
-let file_has_magic path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (String.length magic) with
-          | s -> String.equal s magic || String.equal s magic_v3
-          | exception End_of_file -> false)
-
 (* ------------------------------------------------------------------ *)
 
 module Writer = struct
@@ -284,34 +235,26 @@ module Writer = struct
 
   type t = {
     w_path : string;
-    w_format : format;
-    mutable rev_sections : (string * int * bool * payload) list;
-        (* name, kind, f32 requested, payload *)
+    mutable rev_sections : (string * int * payload) list; (* name, kind, payload *)
     mutable names : string list;
   }
 
-  let create ?(format = V4) path =
-    { w_path = path; w_format = format; rev_sections = []; names = [] }
+  let create path = { w_path = path; rev_sections = []; names = [] }
 
-  let add w name kind f32 payload =
+  let add w name kind payload =
     if List.mem name w.names then
       invalid_arg (Printf.sprintf "Pti_storage.Writer: duplicate section %S" name);
     if String.length name = 0 || String.length name > 255 then
       invalid_arg "Pti_storage.Writer: section name must be 1..255 bytes";
-    if f32 && w.w_format = V3 then
-      invalid_arg "Pti_storage.Writer: float32 sections need the V4 format";
     w.names <- name :: w.names;
-    w.rev_sections <- (name, kind, f32, payload) :: w.rev_sections
+    w.rev_sections <- (name, kind, payload) :: w.rev_sections
 
-  let add_ints w name a = add w name k_ints false (P_ints a)
-  let add_ints_ba w name a = add w name k_ints false (P_ints_ba a)
-  let add_floats ?(f32 = false) w name a = add w name k_floats f32 (P_floats a)
-
-  let add_floats_ba ?(f32 = false) w name a =
-    add w name k_floats f32 (P_floats_ba a)
-
-  let add_bytes w name s = add w name k_bytes false (P_bytes s)
-  let add_bits w name b = add w name k_bytes false (P_bits b)
+  let add_ints w name a = add w name k_ints (P_ints a)
+  let add_ints_ba w name a = add w name k_ints (P_ints_ba a)
+  let add_floats w name a = add w name k_floats (P_floats a)
+  let add_floats_ba w name a = add w name k_floats (P_floats_ba a)
+  let add_bytes w name s = add w name k_bytes (P_bytes s)
+  let add_bits w name b = add w name k_bytes (P_bits b)
 
   let payload_elems = function
     | P_ints a -> Array.length a
@@ -324,10 +267,9 @@ module Writer = struct
   (* Minimal-width selection. Sections whose only negative value is the
      -1 sentinel are stored biased by +1; anything more negative (or
      large enough that the bias would overflow) falls back to raw
-     64-bit words, exactly the pre-v4 encoding. *)
-  let int_width pack (lo, hi) =
-    if not pack then (8, 0)
-    else if lo > hi then (1, 0) (* empty section *)
+     64-bit words. *)
+  let int_width (lo, hi) =
+    if lo > hi then (1, 0) (* empty section *)
     else if lo < -1 || hi = max_int then (8, 0)
     else begin
       let bias = if lo < 0 then 1 else 0 in
@@ -357,13 +299,11 @@ module Writer = struct
     (!lo, !hi)
 
   (* Byte width and sentinel bias of a section, chosen from its values. *)
-  let section_width w kind f32 payload =
-    let pack = w.w_format = V4 in
-    match (kind, payload) with
-    | _, P_bytes _ | _, P_bits _ -> (1, 0)
-    | _, P_floats _ | _, P_floats_ba _ -> ((if pack && f32 then 4 else 8), 0)
-    | _, P_ints a -> int_width pack (int_bounds_arr a)
-    | _, P_ints_ba a -> int_width pack (int_bounds_ba a)
+  let section_width = function
+    | P_bytes _ | P_bits _ -> (1, 0)
+    | P_floats _ | P_floats_ba _ -> (8, 0)
+    | P_ints a -> int_width (int_bounds_arr a)
+    | P_ints_ba a -> int_width (int_bounds_ba a)
 
   (* ---------------------------------------------------------------- *)
   (* Streaming emitter: fixed-size chunked writes with the per-section
@@ -451,25 +391,18 @@ module Writer = struct
     | 4 -> for i = 0 to len - 1 do put32 st (get i + bias) done
     | _ -> for i = 0 to len - 1 do put64 st (get i) done
 
-  let put_floats st ~width ~len get =
-    if width = 4 then
-      for i = 0 to len - 1 do
-        put32 st (Int32.to_int (Int32.bits_of_float (get i)) land 0xFFFFFFFF)
-      done
-    else
-      for i = 0 to len - 1 do
-        put_bits64 st (Int64.bits_of_float (get i))
-      done
+  let put_floats st ~len get =
+    for i = 0 to len - 1 do
+      put_bits64 st (Int64.bits_of_float (get i))
+    done
 
   let put_payload st ~width ~bias = function
     | P_ints a ->
         put_ints st ~width ~bias ~len:(Array.length a) (Array.unsafe_get a)
     | P_ints_ba a ->
         put_ints st ~width ~bias ~len:(Ints.length a) (Ints.unsafe_get a)
-    | P_floats a ->
-        put_floats st ~width ~len:(Array.length a) (Array.unsafe_get a)
-    | P_floats_ba a ->
-        put_floats st ~width ~len:(Floats.length a) (Floats.unsafe_get a)
+    | P_floats a -> put_floats st ~len:(Array.length a) (Array.unsafe_get a)
+    | P_floats_ba a -> put_floats st ~len:(Floats.length a) (Floats.unsafe_get a)
     | P_bytes s ->
         for i = 0 to String.length s - 1 do
           put8 st (Char.code (String.unsafe_get s i))
@@ -480,14 +413,13 @@ module Writer = struct
         done
 
   let close w =
-    let v4 = w.w_format = V4 in
     let sections = List.rev w.rev_sections in
     (* Layout pass: choose widths, lay sections end to end. *)
     let cursor = ref header_bytes in
     let laid =
       List.map
-        (fun (name, kind, f32, payload) ->
-          let width, bias = section_width w kind f32 payload in
+        (fun (name, kind, payload) ->
+          let width, bias = section_width payload in
           let off = !cursor in
           let len = width * payload_elems payload in
           cursor := off + pad8 len;
@@ -495,7 +427,6 @@ module Writer = struct
         sections
     in
     let table_off = !cursor in
-    let entry_words = if v4 then 6 else 4 in
     let entry_bytes name = 8 + pad8 (String.length name) + (8 * entry_words) in
     let table_bytes =
       List.fold_left
@@ -507,9 +438,7 @@ module Writer = struct
         let st = stream fd in
         (* Header (not covered by any section checksum). *)
         let header = Bytes.make header_bytes '\000' in
-        Bytes.blit_string
-          (if v4 then magic_padded else magic_v3_padded)
-          0 header 0 16;
+        Bytes.blit_string magic_padded 0 header 0 16;
         Bytes.set_int64_le header 16 (Int64.of_int sentinel);
         Bytes.set_int64_le header 24 (Int64.of_int (List.length laid));
         Bytes.set_int64_le header 32 (Int64.of_int table_off);
@@ -541,10 +470,8 @@ module Writer = struct
             put64 st off;
             put64 st len;
             put64 st sum;
-            if v4 then begin
-              put64 st width;
-              put64 st bias
-            end)
+            put64 st width;
+            put64 st bias)
           laid sums;
         let table_sum = st.h in
         put64 st table_sum;
@@ -588,13 +515,11 @@ module Reader = struct
 
   type t = {
     r_path : string;
-    r_version : int; (* 3 or 4 *)
     bytes_v : bytes_view;
     ints_v : i64_arr;
     floats_v : f64_arr;
     u16_v : u16_arr;
     u32_v : u32_arr;
-    f32_v : f32_arr;
     tbl : (string, section) Hashtbl.t;
     order : string list;
   }
@@ -627,6 +552,15 @@ module Reader = struct
     in
     let size = (Unix.fstat fd).Unix.st_size in
     let map () =
+      (* A retired format is named before any size check: an ENGINE-2
+         stream has no reason to be a multiple of 8 bytes long. *)
+      let head = Bytes.create 16 in
+      let got = try Unix.read fd head 0 16 with Unix.Unix_error _ -> 0 in
+      List.iter
+        (fun m ->
+          if got >= String.length m && Bytes.sub_string head 0 (String.length m) = m
+          then retired "header" (String.trim m))
+        retired_magics;
       if size < header_bytes + 8 then
         corrupt "header" "file is %d bytes, smaller than any index (truncated?)"
           size;
@@ -642,25 +576,20 @@ module Reader = struct
         Bigarray.array1_of_genarray (ga Bigarray.int16_unsigned (size / 2))
       in
       let u32_v = Bigarray.array1_of_genarray (ga Bigarray.int32 (size / 4)) in
-      let f32_v = Bigarray.array1_of_genarray (ga Bigarray.float32 (size / 4)) in
-      (bytes_v, ints_v, floats_v, u16_v, u32_v, f32_v)
+      (bytes_v, ints_v, floats_v, u16_v, u32_v)
     in
-    let bytes_v, ints_v, floats_v, u16_v, u32_v, f32_v =
+    let bytes_v, ints_v, floats_v, u16_v, u32_v =
       Fun.protect ~finally:(fun () -> Unix.close fd) map
     in
     let matches m =
       let ok = ref true in
-      for i = 0 to 15 do
+      for i = 0 to String.length m - 1 do
         if Bigarray.Array1.get bytes_v i <> Char.code m.[i] then ok := false
       done;
       !ok
     in
-    let version =
-      if matches magic_padded then 4
-      else if matches magic_v3_padded then 3
-      else
-        corrupt "header" "bad magic (not a %s index file)" (String.trim magic)
-    in
+    if not (matches magic_padded) then
+      corrupt "header" "bad magic (not a %s index file)" (String.trim magic);
     let word i = Bigarray.Array1.get ints_v i in
     if word 2 <> sentinel then
       corrupt "header"
@@ -682,7 +611,6 @@ module Reader = struct
     let sum = checksum_view ints_v ~off:table_off ~len:table_len in
     if sum <> declared_sum then
       corrupt "section-table" "checksum mismatch (index truncated or modified)";
-    let entry_words = if version = 4 then 6 else 4 in
     let tbl = Hashtbl.create 64 in
     let order = ref [] in
     let cursor = ref table_off in
@@ -703,10 +631,7 @@ module Reader = struct
       let s_off = word (p + 1) in
       let s_len = word (p + 2) in
       let s_sum = word (p + 3) in
-      let s_width, s_bias =
-        if version = 4 then (word (p + 4), word (p + 5))
-        else ((if s_kind = k_bytes then 1 else 8), 0)
-      in
+      let s_width = word (p + 4) and s_bias = word (p + 5) in
       if s_kind < 0 || s_kind > k_bytes then
         corrupt name "unknown section kind %d" s_kind;
       if s_off < header_bytes || s_len < 0 || s_off mod 8 <> 0
@@ -715,7 +640,7 @@ module Reader = struct
       let width_ok =
         match s_kind with
         | 0 -> s_width = 1 || s_width = 2 || s_width = 4 || s_width = 8
-        | 1 -> s_width = 4 || s_width = 8
+        | 1 -> s_width = 8
         | _ -> s_width = 1
       in
       if not width_ok then
@@ -735,13 +660,11 @@ module Reader = struct
     let r =
       {
         r_path = path;
-        r_version = version;
         bytes_v;
         ints_v;
         floats_v;
         u16_v;
         u32_v;
-        f32_v;
         tbl;
         order = List.rev !order;
       }
@@ -751,7 +674,6 @@ module Reader = struct
     r
 
   let path r = r.r_path
-  let version r = r.r_version
   let has r name = Hashtbl.mem r.tbl name
   let sections r = r.order
 
@@ -778,9 +700,7 @@ module Reader = struct
   let floats r name : floats =
     let s = find r name in
     expect_kind name s k_floats;
-    let elems = s.s_len / s.s_width in
-    if s.s_width = 4 then F32 (Bigarray.Array1.sub r.f32_v (s.s_off / 4) elems)
-    else F64 (Bigarray.Array1.sub r.floats_v (s.s_off / 8) elems)
+    Bigarray.Array1.sub r.floats_v (s.s_off / 8) (s.s_len / 8)
 
   let bits r name : Bits.t =
     let s = find r name in

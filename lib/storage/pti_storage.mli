@@ -15,11 +15,12 @@
     v}
 
     The envelope (header, table, checksums) is 64-bit little-endian
-    words. Since version 4, array payloads are packed at the minimal
-    byte width covering the section's value range (u8/u16/u32/u64 ints,
-    f64 and opt-in f32 floats), with an explicit +1 bias for sections
-    whose only negative value is a [-1] sentinel; version-3 files (all
-    elements stored as full 64-bit words) still load transparently. The
+    words. Int payloads are packed at the minimal byte width covering
+    the section's value range (u8/u16/u32/u64), with an explicit +1
+    bias for sections whose only negative value is a [-1] sentinel;
+    float payloads are f64. Files of a retired format (the
+    "PTI-ENGINE-2" [Marshal] stream, the all-64-bit "PTI-ENGINE-3"
+    container) are refused with a message to rebuild them. The
     sentinel word rejects big-endian or non-64-bit hosts instead of
     silently misreading. Opening a file costs page mapping plus — by
     default — one streaming checksum pass; no per-element
@@ -32,21 +33,25 @@
     offending section ("header" / "section-table" for the envelope). *)
 exception Corrupt of { section : string; reason : string }
 
+val retired : string -> string -> 'a
+(** [retired section what] raises {!Corrupt} for a layout this code no
+    longer reads: the reason names [what] and says to rebuild the index
+    with [pti build]. *)
+
 (** {2 Array views}
 
     These are the accessor types the query path reads through: either a
     fresh heap-backed [Bigarray] (just-constructed engines) or a
     possibly-packed view into the mapped file (opened engines) — one
     code path, zero per-access allocation either way. Only heap-built
-    ([I64]/[F64]) views are mutable; packed views come from mapped
-    files, which are immutable. *)
+    [I64] int views are mutable; packed views come from mapped files,
+    which are immutable. *)
 
 type i64_arr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type u8_arr = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 type u16_arr = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 type u32_arr = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type f64_arr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type f32_arr = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** Packed int views store [v + bias] as an unsigned [width]-byte
     integer; [bias] is 1 exactly when the section holds [-1] sentinels
@@ -57,7 +62,7 @@ type ints =
   | U16 of u16_arr * int
   | U32 of u32_arr * int
 
-type floats = F64 of f64_arr | F32 of f32_arr
+type floats = f64_arr
 
 type bytes_view = u8_arr
 
@@ -88,23 +93,11 @@ module Ints : sig
 end
 
 module Floats : sig
-  val empty : floats
-
-  val create : int -> floats
-  (** A fresh zero-filled heap-backed array; see {!Ints.create}. *)
-
-  val set : floats -> int -> float -> unit
-  (** Raises [Invalid_argument] on a packed (read-only) view. *)
-
   val of_array : float array -> floats
   val to_array : floats -> float array
   val length : floats -> int
   val get : floats -> int -> float
   val unsafe_get : floats -> int -> float
-
-  val width : floats -> int
-  (** Bytes per element of the underlying representation (4 or 8). *)
-
   val byte_size : floats -> int
 end
 
@@ -119,56 +112,28 @@ module Bits : sig
   val get : t -> int -> bool
 end
 
-type format = V3 | V4
-(** Container format to write. [V4] (default) packs array sections to
-    their minimal width; [V3] writes every element as a 64-bit word,
-    byte-identical to files produced before version 4 existed. *)
-
 val magic : string
-(** ["PTI-ENGINE-4\n"] — the current container magic, also the first
-    bytes of a freshly written file. *)
-
-val magic_v3 : string
-(** ["PTI-ENGINE-3\n"] — the previous container magic; such files still
-    load transparently. *)
-
-val file_has_magic : string -> bool
-(** Whether the file at this path starts with {!magic} or {!magic_v3}
-    (false for missing/short files) — used to dispatch legacy formats. *)
+(** ["PTI-ENGINE-4\n"] — the container magic, also the first bytes of
+    a freshly written file. *)
 
 (** {2 Writing} *)
 
-val atomic_save : string -> (out_channel -> unit) -> unit
-(** [atomic_save path f] runs [f] on an output channel backed by a
-    temporary file ([path.tmp.<pid>] in the same directory), then
-    fsyncs, renames it over [path] and fsyncs the directory. The
-    destination is always either the complete old file or the complete
-    new one — never a partial write. On failure the temp file is
-    unlinked and the exception re-raised. [EINTR] is retried on every
-    write, fsync and rename. Used for legacy (pre-container) formats;
-    {!Writer.close} follows the same protocol natively. *)
-
 val temp_path : string -> string
-(** The temporary sibling [atomic_save] and {!Writer.close} stream
-    into before renaming ([path.tmp.<pid>]) — exposed so tests can
-    assert no temp files survive a failed save. *)
+(** The temporary sibling {!Writer.close} streams into before renaming
+    ([path.tmp.<pid>]) — exposed so tests can assert no temp files
+    survive a failed save. *)
 
 module Writer : sig
   type t
 
-  val create : ?format:format -> string -> t
-  (** Start a container at this path (default format {!V4}). Section
-      payloads are referenced, not copied; the file is streamed out on
-      {!close}. *)
+  val create : string -> t
+  (** Start a container at this path. Section payloads are referenced,
+      not copied; the file is streamed out on {!close}. *)
 
   val add_ints : t -> string -> int array -> unit
   val add_ints_ba : t -> string -> ints -> unit
-
-  val add_floats : ?f32:bool -> t -> string -> float array -> unit
-  (** With [~f32:true] (V4 only) the section is stored as float32 —
-      opt-in, for sections where the precision loss is provably safe. *)
-
-  val add_floats_ba : ?f32:bool -> t -> string -> floats -> unit
+  val add_floats : t -> string -> float array -> unit
+  val add_floats_ba : t -> string -> floats -> unit
 
   val add_bytes : t -> string -> string -> unit
   (** An opaque byte payload (readable back via {!Reader.blob} or
@@ -197,8 +162,11 @@ module Reader : sig
   type t
 
   val open_file : ?verify:bool -> string -> t
-  (** Map the file and parse the header and section table (version 4 or
-      3), raising {!Corrupt} on any structural problem. With [verify]
+  (** Map the file and parse the header and section table, raising
+      {!Corrupt} on any structural problem. A file that starts with a
+      retired magic ("PTI-ENGINE-2", "PTI-ENGINE-3") is refused first,
+      with [section = "header"] and a reason that says to rebuild it
+      with [pti build]. With [verify]
       (default [true]) every section's checksum is verified eagerly —
       one sequential pass over the mapping; with [~verify:false] only
       the envelope is checked and array sections are trusted (blob
@@ -207,10 +175,6 @@ module Reader : sig
       behaviour). *)
 
   val path : t -> string
-
-  val version : t -> int
-  (** Container version of the underlying file: 3 or 4. *)
-
   val has : t -> string -> bool
 
   val sections : t -> string list

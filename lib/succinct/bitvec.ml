@@ -40,16 +40,6 @@ let create len f =
 
 let of_bools a = create (Array.length a) (fun i -> a.(i))
 
-let of_raw ~len ~words ~cum =
-  if len < 0 then invalid_arg "Bitvec.of_raw: negative length";
-  if S.Ints.length words <> nwords_for len then
-    invalid_arg "Bitvec.of_raw: word count does not match length";
-  if S.Ints.length cum <> S.Ints.length words + 1 then
-    invalid_arg "Bitvec.of_raw: rank directory length mismatch";
-  { len; words; cum }
-
-let raw t = (t.words, t.cum)
-
 let length t = t.len
 
 let get t i =

@@ -35,14 +35,6 @@ val size_words : t -> int
 val size_bytes : t -> int
 (** Bytes of the two backing arrays in their current representation. *)
 
-val of_raw :
-  len:int -> words:Pti_storage.ints -> cum:Pti_storage.ints -> t
-(** Reassemble from raw views (legacy-format decoding). Raises
-    [Invalid_argument] on inconsistent lengths. *)
-
-val raw : t -> Pti_storage.ints * Pti_storage.ints
-(** [(words, cum)] — the backing views, for legacy encoding. *)
-
 val save_parts : Pti_storage.Writer.t -> prefix:string -> t -> unit
 (** Persist as container sections [prefix ^ ".meta"/".words"/".cum"]. *)
 

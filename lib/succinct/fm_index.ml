@@ -95,57 +95,3 @@ let open_parts r ~prefix =
          (Wavelet.length wt) (n + 1));
   if S.Ints.length c < 2 then fail (prefix ^ ".c") "C array too short";
   { n; wt; c }
-
-(* {2 Legacy mirror}
-
-   The record shapes this module used before the storage port — plain
-   heap arrays throughout. [Marshal] is structural, so decoding an old
-   "fm" blob (or a legacy PTI-ENGINE-2 stream) against these mirrors and
-   converting via [of_legacy] keeps every pre-existing index file
-   loadable; [to_legacy] is the reverse direction for writers of the
-   legacy format. *)
-
-module Legacy = struct
-  type bitvec = { b_len : int; b_words : int array; b_cum : int array }
-
-  type wavelet = {
-    w_n : int;
-    w_sigma : int;
-    w_nlevels : int;
-    w_levels : bitvec array;
-  }
-
-  type t = { l_n : int; l_wt : wavelet; l_c : int array }
-end
-
-let of_legacy (l : Legacy.t) =
-  let bitvec (b : Legacy.bitvec) =
-    Bitvec.of_raw ~len:b.b_len ~words:(S.Ints.of_array b.b_words)
-      ~cum:(S.Ints.of_array b.b_cum)
-  in
-  let wt =
-    Wavelet.of_raw ~n:l.l_wt.w_n ~sigma:l.l_wt.w_sigma
-      (Array.map bitvec l.l_wt.w_levels)
-  in
-  { n = l.l_n; wt; c = S.Ints.of_array l.l_c }
-
-let to_legacy t =
-  let bitvec bv =
-    let words, cum = Bitvec.raw bv in
-    {
-      Legacy.b_len = Bitvec.length bv;
-      b_words = S.Ints.to_array words;
-      b_cum = S.Ints.to_array cum;
-    }
-  in
-  {
-    Legacy.l_n = t.n;
-    l_wt =
-      {
-        Legacy.w_n = Wavelet.length t.wt;
-        w_sigma = Wavelet.sigma t.wt;
-        w_nlevels = Array.length (Wavelet.raw_levels t.wt);
-        w_levels = Array.map bitvec (Wavelet.raw_levels t.wt);
-      };
-    l_c = S.Ints.to_array t.c;
-  }

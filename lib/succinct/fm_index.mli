@@ -41,22 +41,3 @@ val save_parts : Pti_storage.Writer.t -> prefix:string -> t -> unit
 val open_parts : Pti_storage.Reader.t -> prefix:string -> t
 (** Zero-copy reopen of {!save_parts} output. Raises
     {!Pti_storage.Corrupt} on missing or inconsistent sections. *)
-
-(** Mirror of the heap record shapes this module had before the storage
-    port; exists so [Marshal] blobs written by older code (engine "fm"
-    sections, PTI-ENGINE-2 streams) still decode. *)
-module Legacy : sig
-  type bitvec = { b_len : int; b_words : int array; b_cum : int array }
-
-  type wavelet = {
-    w_n : int;
-    w_sigma : int;
-    w_nlevels : int;
-    w_levels : bitvec array;
-  }
-
-  type t = { l_n : int; l_wt : wavelet; l_c : int array }
-end
-
-val of_legacy : Legacy.t -> t
-val to_legacy : t -> Legacy.t

@@ -61,19 +61,6 @@ let build ~sigma seq =
   in
   { n; sigma; nlevels; levels }
 
-let of_raw ~n ~sigma levels =
-  if sigma < 1 then invalid_arg "Wavelet.of_raw: sigma < 1";
-  if Array.length levels <> nlevels_for sigma then
-    invalid_arg "Wavelet.of_raw: wrong level count";
-  Array.iter
-    (fun bv ->
-      if Bitvec.length bv <> n then
-        invalid_arg "Wavelet.of_raw: level length mismatch")
-    levels;
-  { n; sigma; nlevels = Array.length levels; levels }
-
-let raw_levels t = t.levels
-
 let length t = t.n
 let sigma t = t.sigma
 

@@ -39,12 +39,6 @@ val size_words : t -> int
 val size_bytes : t -> int
 (** Bytes of the level bit vectors in their current representation. *)
 
-val of_raw : n:int -> sigma:int -> Bitvec.t array -> t
-(** Reassemble from level bit vectors (legacy-format decoding). Raises
-    [Invalid_argument] on inconsistent shapes. *)
-
-val raw_levels : t -> Bitvec.t array
-
 val save_parts : Pti_storage.Writer.t -> prefix:string -> t -> unit
 (** Persist as [prefix ^ ".meta"] plus one bit vector per level under
     [prefix ^ ".l<k>"]. *)

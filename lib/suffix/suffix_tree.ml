@@ -200,60 +200,3 @@ let children t v =
   List.init
     (t.child_start.(v + 1) - t.child_start.(v))
     (fun i -> t.child_list.(t.child_start.(v) + i))
-
-let locus_gen t ~text_len ~text_get ~pattern =
-  let m = Array.length pattern in
-  if m = 0 then Some (0, t.n - 1)
-  else begin
-    (* Descend from the root, consuming the pattern along edge labels.
-       A child's edge label is text[sa.(lb child) + depth parent ..
-       sa.(lb child) + depth child); leaves whose suffix ends exactly at
-       the parent's depth have an empty edge and can never extend a
-       match. *)
-    let rec descend v matched =
-      if matched = m then Some (t.lb.(v), t.rb.(v))
-      else begin
-        let want = pattern.(matched) in
-        let rec pick i =
-          if i >= t.child_start.(v + 1) then None
-          else begin
-            let c = t.child_list.(i) in
-            let edge_pos = t.sa.(t.lb.(c)) + t.depth.(v) in
-            if edge_pos < text_len && text_get edge_pos = want then Some c
-            else pick (i + 1)
-          end
-        in
-        match pick t.child_start.(v) with
-        | None -> None
-        | Some c ->
-            let edge_len = t.depth.(c) - t.depth.(v) in
-            let base = t.sa.(t.lb.(c)) + t.depth.(v) in
-            let take = Stdlib.min edge_len (m - matched) in
-            let rec cmp off =
-              if off = take then true
-              else if
-                base + off < text_len
-                && text_get (base + off) = pattern.(matched + off)
-              then cmp (off + 1)
-              else false
-            in
-            if cmp 0 then descend c (matched + take) else None
-      end
-    in
-    descend (root t) 0
-  end
-
-let locus t ~text ~pattern =
-  locus_gen t ~text_len:(Array.length text)
-    ~text_get:(fun i -> text.(i))
-    ~pattern
-
-let locus_storage t ~text ~pattern =
-  locus_gen t
-    ~text_len:(Pti_storage.Ints.length text)
-    ~text_get:(Pti_storage.Ints.get text)
-    ~pattern
-
-let size_words t =
-  (4 * n_nodes t) + (2 * t.n) + (2 * Hashtbl.length t.by_interval)
-  + Array.length t.child_start + Array.length t.child_list + 4

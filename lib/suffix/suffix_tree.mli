@@ -48,18 +48,3 @@ val fold_nodes : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 val children : t -> int -> int list
 (** Children of a node in leaf-interval (= lexicographic) order; [[]]
     for leaves. *)
-
-val locus :
-  t -> text:int array -> pattern:int array -> (int * int) option
-(** The suffix range of the pattern by walking edges from the root —
-    the O(m + fanout) locus computation of §3.4 (edge labels are read
-    from [text], which must be the string the tree was built over).
-    Result agrees exactly with {!Sa_search.range}. The empty pattern
-    matches everywhere. *)
-
-val locus_storage :
-  t -> text:Pti_storage.ints -> pattern:int array -> (int * int) option
-(** {!locus} with the text read from a storage view (e.g. the mapped
-    text section of an index file). *)
-
-val size_words : t -> int

@@ -285,8 +285,8 @@ let stats t =
     /. float_of_int (Stdlib.max 1 (Ustring.length src)))
 
 let size_words t =
-  (2 * S.Ints.length t.text) + (3 * S.Ints.length t.text) + 8
-(* text + pos ints, parray ~3 words/position *)
+  (2 * S.Ints.length t.text) + (2 * S.Ints.length t.text) + 8
+(* text + pos ints, parray ~2 words/position *)
 
 let size_bytes t =
   S.Ints.byte_size t.text + S.Ints.byte_size t.pos
@@ -301,8 +301,8 @@ type meta = {
   m_has_correlations : bool;
 }
 
-let save_parts ?(with_logs = true) w t =
-  let cum, zeros, logs = Parray.raw t.parray in
+let save_parts w t =
+  let cum, zeros = Parray.raw t.parray in
   S.Writer.add_bytes w "tr.meta"
     (Marshal.to_string
        {
@@ -316,11 +316,6 @@ let save_parts ?(with_logs = true) w t =
   S.Writer.add_ints_ba w "tr.pos" t.pos;
   S.Writer.add_floats_ba w "tr.cum" cum;
   S.Writer.add_ints_ba w "tr.zeros" zeros;
-  (* raw per-position logs are redundant with tr.cum/tr.zeros and unused
-     on the query path; space-lean containers drop the section *)
-  (match logs with
-  | Some logs when with_logs -> S.Writer.add_floats_ba w "tr.logs" logs
-  | _ -> ());
   S.Writer.add_bytes w "tr.source" (Marshal.to_string (Lazy.force t.source) [])
 
 let open_parts r =
@@ -337,24 +332,8 @@ let open_parts r =
     parray =
       Parray.of_storage
         ~cum:(S.Reader.floats r "tr.cum")
-        ~zeros:(S.Reader.ints r "tr.zeros")
-        ~logs:
-          (if S.Reader.has r "tr.logs" then Some (S.Reader.floats r "tr.logs")
-           else None);
+        ~zeros:(S.Reader.ints r "tr.zeros");
     n_factors = m.m_n_factors;
     n_skipped = m.m_n_skipped;
     has_correlations = m.m_has_correlations;
-  }
-
-let of_legacy ~source ~tau_min ~text ~pos ~logs ~n_factors ~n_skipped =
-  {
-    source = Lazy.from_val source;
-    tau_min;
-    text = S.Ints.of_array text;
-    pos = S.Ints.of_array pos;
-    parray = Parray.of_logps (Array.map Logp.of_log logs);
-    n_factors;
-    n_skipped;
-    has_correlations =
-      not (Correlation.is_empty (Ustring.correlations source));
   }

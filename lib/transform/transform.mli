@@ -115,28 +115,13 @@ val size_bytes : t -> int
 
     A transform serializes into named sections of a {!Pti_storage}
     container ([tr.meta], [tr.text], [tr.pos], [tr.cum], [tr.zeros],
-    [tr.logs], [tr.source]). All array sections are read back as
+    [tr.source]). A [tr.logs] section in an older container is
+    ignored: per-position values are differences of [tr.cum]. All array sections are read back as
     zero-copy views; the source string is a [Marshal] blob deserialized
     lazily — eagerly only when the transform carries correlation rules,
     because those are consulted on the query path. *)
 
-val save_parts : ?with_logs:bool -> Pti_storage.Writer.t -> t -> unit
-(** [with_logs] (default true): whether to write the [tr.logs] raw
-    per-position log section. It is redundant with [tr.cum]/[tr.zeros]
-    and unused on the query path, so space-lean (succinct-backend)
-    containers omit it; {!open_parts} treats it as optional. *)
+val save_parts : Pti_storage.Writer.t -> t -> unit
 
 val open_parts : Pti_storage.Reader.t -> t
 (** Raises {!Pti_storage.Corrupt} if a section is missing or damaged. *)
-
-val of_legacy :
-  source:Pti_ustring.Ustring.t ->
-  tau_min:float ->
-  text:int array ->
-  pos:int array ->
-  logs:float array ->
-  n_factors:int ->
-  n_skipped:int ->
-  t
-(** Rebuild from the fields of a legacy ("PTI-ENGINE-2") marshalled
-    index; the prefix-product array is recomputed from the raw logs. *)

@@ -5,6 +5,7 @@
 #   2. kill -9 the serving daemon under load, restart it on the same
 #      port: a loadgen run with --retry rides out the outage and
 #      finishes with every reply verified.
+#   3. Malformed serve flags and retired index formats exit 2.
 # Exits non-zero on any violated invariant.
 set -eu
 
@@ -287,5 +288,19 @@ for bad in "--compact-interval-ms=-1" "--warmup-ms=-1" "--batch-max=0" \
     [ "$rc" -eq 2 ] || { echo "chaos-smoke: serve $bad should exit 2, got $rc" >&2; exit 1; }
 done
 echo "chaos-smoke: malformed serve flags rejected with exit 2"
+
+# A file of a retired format (here a bare ENGINE-3 header) is refused
+# with exit 2 and one line that says to rebuild it, by every command
+# that opens an index.
+printf 'PTI-ENGINE-3\n\000\000\000' > "$DIR/old.pti"
+for cmd in "stats $DIR/old.pti" "query --load $DIR/old.pti -p A --tau 0.3"; do
+    rc=0
+    # shellcheck disable=SC2086
+    "$PTI" $cmd > "$DIR/old.log" 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || { echo "chaos-smoke: pti $cmd on a retired format should exit 2, got $rc" >&2; cat "$DIR/old.log" >&2; exit 1; }
+    [ "$(wc -l < "$DIR/old.log")" -eq 1 ] && grep -q rebuild "$DIR/old.log" \
+        || { echo "chaos-smoke: pti $cmd: expected one line saying to rebuild" >&2; cat "$DIR/old.log" >&2; exit 1; }
+done
+echo "chaos-smoke: retired index formats refused with exit 2"
 
 echo "chaos-smoke: OK"

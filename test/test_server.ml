@@ -506,6 +506,28 @@ let test_loadgen_verified () =
       Alcotest.(check int) "replayed run verifies too" 0
         (r2.Loadgen.verify_failures + r2.Loadgen.protocol_failures))
 
+let test_loadgen_default_mix () =
+  (* with no listing index named, the default mix sends no listings, so
+     a general-only server answers every request; naming one adds the
+     listing weight, and an explicit listing weight is kept as given *)
+  let u, _, _, _, gpath, _ = Lazy.force fixture in
+  let plain = Loadgen.default_mix ~listing_index:None in
+  Alcotest.(check int) "no listing weight without a listing index" 0
+    plain.Loadgen.listing;
+  Alcotest.(check bool) "listing weight with one" true
+    ((Loadgen.default_mix ~listing_index:(Some 1)).Loadgen.listing > 0);
+  Alcotest.(check int) "explicit listing weight kept" 2
+    (Loadgen.mix_of_string "query=8,listing=2").Loadgen.listing;
+  with_server [ Server.Source_file gpath ] (fun _srv port ->
+      let r =
+        Loadgen.run ~port ~concurrency:2 ~duration_s:infinity
+          ~requests_per_client:100 ~index:0 ~k:4 ~lengths:[ 3; 5 ] ~tau:0.2
+          ~seed:7 ~mix:plain ~source:u ()
+      in
+      Alcotest.(check int) "all requests sent" 200 r.Loadgen.sent;
+      Alcotest.(check (list (pair string int)))
+        "no error replies against a general-only server" [] r.Loadgen.errors)
+
 let test_overload () =
   (* one worker held busy + a tiny queue: pipelined requests beyond the
      cap must get explicit Overloaded replies, while Ping/Stats stay
@@ -853,6 +875,62 @@ let test_torn_hit_reply () =
               | exception (P.Protocol_error _ | Unix.Unix_error _) -> ());
               Alcotest.(check int) "the hit passed the failpoint" 1
                 (F.hit_count "server.reply"))))
+
+let test_torn_handoff_reply () =
+  (* a reply the loop hands to the worker holding the connection's
+     write mutex leaves through that worker's flush, and passes the
+     server.reply failpoint there too: the worker's own reply (held up
+     by a delay inside its write) comes back whole, the handed-off Pong
+     is cut short and the connection breaks *)
+  a_over_budget ();
+  let _, _, g, _, _, _ = Lazy.force fixture in
+  with_faults (fun () ->
+      with_server ~config:(base_config 1) [ Server.Source_general g ]
+        (fun _srv port ->
+          with_conn port (fun fd ->
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+              F.arm "server.reply" (F.Delay 300) (F.Nth 1);
+              P.write_all fd (P.encode_request { P.id = 1; op = query_a });
+              Unix.sleepf 0.1;
+              P.write_all fd (P.encode_request { P.id = 2; op = P.Ping });
+              Unix.sleepf 0.05;
+              (* the worker still sleeps inside its write; the Pong is
+                 handed off to it. Re-arming resets the hit count. *)
+              F.arm "server.reply" (F.Short_write 2) (F.Nth 1);
+              (match P.read_frame fd with
+              | Some payload -> (
+                  match P.decode_reply payload with
+                  | 1, P.Hits _ -> ()
+                  | _ -> Alcotest.fail "the worker's reply")
+              | None -> Alcotest.fail "the worker's reply was lost");
+              (match P.read_frame fd with
+              | Some _ -> Alcotest.fail "the handed-off reply came back whole"
+              | None -> ()
+              | exception (P.Protocol_error _ | Unix.Unix_error _) -> ());
+              Alcotest.(check int) "the hand-off passed the failpoint" 1
+                (F.hit_count "server.reply"))))
+
+let test_retired_format_refused () =
+  (* a file of a retired format behind an index id is a typed
+     bad_index reply naming the rebuild, and the connection keeps
+     serving *)
+  let path = Filename.temp_file "pti_srv_retired" ".idx" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc ("PTI-ENGINE-3\n" ^ String.make 3 '\000');
+      close_out oc;
+      with_server [ Server.Source_file path ] (fun _srv port ->
+          with_conn port (fun fd ->
+              (match rpc fd { P.id = 1; op = P.Query { index = 0; pattern = "A"; tau = 0.5 } } with
+              | 1, P.Error (P.Bad_index, msg) ->
+                  Alcotest.(check bool) ("says to rebuild: " ^ msg) true
+                    (contains msg "rebuild")
+              | _ -> Alcotest.fail "expected a bad_index reply");
+              match rpc fd { P.id = 2; op = P.Ping } with
+              | 2, P.Pong -> ()
+              | _ -> Alcotest.fail "ping after the refusal")))
 
 (* ------------------------------------------------------------------ *)
 (* Result-cache misses answered on the accept loop *)
@@ -2436,6 +2514,8 @@ let () =
           Alcotest.test_case "json line cap" `Quick test_json_line_cap;
           Alcotest.test_case "loadgen verified at concurrency 8" `Quick
             test_loadgen_verified;
+          Alcotest.test_case "loadgen default mix" `Quick
+            test_loadgen_default_mix;
           Alcotest.test_case "corpus mutations over the wire" `Quick
             test_corpus_over_wire;
           Alcotest.test_case "corpus mutation invalidates cached replies"
@@ -2499,6 +2579,10 @@ let () =
           Alcotest.test_case "loadgen rides out a torn reply" `Quick
             test_loadgen_retry;
           Alcotest.test_case "cached hit's reply torn" `Quick test_torn_hit_reply;
+          Alcotest.test_case "handed-off reply torn" `Quick
+            test_torn_handoff_reply;
+          Alcotest.test_case "retired index format refused" `Quick
+            test_retired_format_refused;
           Alcotest.test_case "backoff is deterministic" `Quick
             test_backoff_determinism;
         ] );

@@ -5,13 +5,14 @@
      wrong-magic and bit-flipped files, with the offending section
      named;
    - minimal-width packing: u8/u16/u32 boundary values and -1
-     sentinels through packed views, packed-section corruption, the
-     V3 writer, and the float32 opt-in;
+     sentinels through packed views and packed-section corruption;
    - heap-built vs reopened-mmap engines answering byte-identically
      across the full configuration matrix (metric × range-search ×
      ladder × rmq kind, with and without correlations), including
      batched queries on a 4-domain pool;
-   - the legacy PTI-ENGINE-2 marshalled format still loading. *)
+   - retired formats (ENGINE-2/ENGINE-3 magics, suffix-tree and
+     marshalled-FM sections, pre-backend meta) refused with a typed
+     [Corrupt] that says to rebuild. *)
 
 module S = Pti_storage
 module U = Pti_ustring.Ustring
@@ -199,7 +200,8 @@ let test_packed_widths () =
       List.iter (fun (name, a, _, _) -> S.Writer.add_ints w name a) cases;
       S.Writer.close w;
       let r = S.Reader.open_file path in
-      Alcotest.(check int) "version" 4 (S.Reader.version r);
+      Alcotest.(check string) "magic" S.magic
+        (String.sub (read_file path) 0 (String.length S.magic));
       List.iter
         (fun (name, a, width, bias) ->
           let i = section_info r name in
@@ -294,56 +296,6 @@ let test_packed_corruption () =
           Alcotest.(check bool) "truncated packed container rejected" true
             (corrupt_section (fun () -> S.Reader.open_file p2) <> None)))
 
-(* The V3 writer still produces loadable 64-bit-per-element files. *)
-let test_v3_writer_roundtrip () =
-  with_tmp (fun path ->
-      let w = S.Writer.create ~format:S.V3 path in
-      S.Writer.add_ints w "xs" [| -1; 0; 255; 65536; max_int |];
-      S.Writer.add_floats w "fs" [| 3.25; -0.5 |];
-      S.Writer.add_bytes w "blob" "legacy width";
-      S.Writer.close w;
-      let r = S.Reader.open_file path in
-      Alcotest.(check int) "version" 3 (S.Reader.version r);
-      let xs = S.Reader.ints r "xs" in
-      Alcotest.(check int) "v3 ints are 8-wide" 8 (S.Ints.width xs);
-      Alcotest.(check (array int))
-        "v3 ints roundtrip"
-        [| -1; 0; 255; 65536; max_int |]
-        (S.Ints.to_array xs);
-      Alcotest.(check (array (float 0.0)))
-        "v3 floats roundtrip" [| 3.25; -0.5 |]
-        (S.Floats.to_array (S.Reader.floats r "fs"));
-      Alcotest.(check string) "v3 blob" "legacy width" (S.Reader.blob r "blob");
-      (* f32 is a v4-only feature *)
-      let w2 = S.Writer.create ~format:S.V3 path in
-      Alcotest.(check bool) "f32 rejected on V3" true
-        (try
-           S.Writer.add_floats ~f32:true w2 "f" [| 1.0 |];
-           false
-         with Invalid_argument _ -> true))
-
-(* float32 sections are opt-in; they halve storage at ~1e-7 relative
-   precision and read back through the same [floats] view. *)
-let test_f32_optin () =
-  with_tmp (fun path ->
-      let a = Array.init 33 (fun i -> log (1.0 +. float_of_int i) /. 7.0) in
-      let w = S.Writer.create path in
-      S.Writer.add_floats ~f32:true w "f32" a;
-      S.Writer.add_floats w "f64" a;
-      S.Writer.close w;
-      let r = S.Reader.open_file path in
-      let i32 = section_info r "f32" and i64 = section_info r "f64" in
-      Alcotest.(check int) "f32 width" 4 i32.S.Reader.si_width;
-      Alcotest.(check int) "f64 width" 8 i64.S.Reader.si_width;
-      let v32 = S.Reader.floats r "f32" in
-      Alcotest.(check int) "f32 view width" 4 (S.Floats.width v32);
-      Alcotest.(check (array (float 1e-6)))
-        "f32 roundtrip within precision" a
-        (S.Floats.to_array v32);
-      Alcotest.(check (array (float 0.0)))
-        "f64 exact" a
-        (S.Floats.to_array (S.Reader.floats r "f64")))
-
 (* A packed container re-saved from its mapped views (as [Engine.save]
    does on a loaded index) must be byte-identical. *)
 let test_packed_resave () =
@@ -391,10 +343,10 @@ let test_engine_bitflip () =
               if G.query g' ~pattern:pat ~tau:0.3 = G.query g ~pattern:pat ~tau:0.3
               then `Harmless
               else `Wrong_answers
-            with
-            | S.Corrupt _ -> `Detected
-            | Invalid_argument _ when off < 16 -> `Detected
-            (* flips inside the magic make the file look legacy *)
+            with S.Corrupt _ -> `Detected
+            (* EXPECTATION CHANGE: a flip inside the magic is a bad
+               header, refused up front like any other; no file is taken
+               for an older format any more *)
           in
           if outcome = `Wrong_answers then
             Alcotest.failf "bit flip at offset %d silently changed answers" off)
@@ -419,15 +371,13 @@ let test_engine_truncation () =
                    false
                  with S.Corrupt _ -> true)))
         [ 16; 48; n / 4; n / 2; n - 8 ];
-      (* below the magic length the file is taken for a legacy one and
-         rejected by the legacy loader *)
+      (* EXPECTATION CHANGE: below the magic length the file is refused
+         by the header check, not handed to another loader *)
       with_tmp (fun p2 ->
           write_file p2 (String.sub full 0 8);
-          Alcotest.(check bool) "sub-magic prefix rejected" true
-            (try
-               ignore (G.load p2);
-               false
-             with Invalid_argument _ | End_of_file -> true)))
+          Alcotest.(check (option string)) "sub-magic prefix rejected"
+            (Some "header")
+            (corrupt_section (fun () -> G.load p2))))
 
 (* ------------------------------------------------------------------ *)
 (* Roundtrips: a reopened mmap twin must answer exactly like the
@@ -470,8 +420,7 @@ let test_roundtrip_matrix () =
                       (Pti_rmq.Rmq.kind_to_string rmq_kind)
                       (match range_search with
                       | Engine.Rs_binary -> 0
-                      | Engine.Rs_fm -> 1
-                      | Engine.Rs_tree -> 2)
+                      | Engine.Rs_fm -> 1)
                       (match ladder with
                       | Engine.Ladder_geometric -> 0
                       | Engine.Ladder_full -> 1
@@ -482,14 +431,15 @@ let test_roundtrip_matrix () =
                       G.save g path;
                       check_same_answers name g (G.load path) queries))
                 [ Engine.Ladder_geometric; Engine.Ladder_full; Engine.Ladder_none ])
-            [ Engine.Rs_binary; Engine.Rs_fm; Engine.Rs_tree ])
+            [ Engine.Rs_binary; Engine.Rs_fm ])
         Pti_rmq.Rmq.all_kinds)
     [ false; true ]
 
 (* The succinct backend: built heap-side, saved as FM/wavelet/rank
    sections, reopened as mapped views — answers must match the packed
    twin byte-for-byte, the container header must record the backend,
-   and flips inside the succinct sections must name them. *)
+   and flips inside the succinct sections must name them. Neither
+   backend writes the construction artefacts (lcp, tr.logs). *)
 let test_roundtrip_succinct_backend () =
   let rng = H.rng_of_seed 78 in
   for _ = 1 to 6 do
@@ -506,14 +456,18 @@ let test_roundtrip_succinct_backend () =
         Alcotest.(check bool) "loaded backend recorded" true
           (Engine.backend (G.engine succ') = Engine.Succinct);
         check_same_answers "succinct mmap twin" succ succ' queries;
-        (* the succinct container must not carry the packed-only
-           sections it claims to have dropped *)
-        let r = S.Reader.open_file path in
-        Alcotest.(check bool) "no lcp section" false (S.Reader.has r "lcp");
-        Alcotest.(check bool) "no tr.logs section" false
-          (S.Reader.has r "tr.logs");
         Alcotest.(check bool) "FM persisted as sections" true
-          (S.Reader.has r "fm.meta"))
+          (S.Reader.has (S.Reader.open_file path) "fm.meta"));
+    List.iter
+      (fun (name, g) ->
+        with_tmp (fun path ->
+            G.save g path;
+            let r = S.Reader.open_file path in
+            Alcotest.(check bool) (name ^ ": no lcp section") false
+              (S.Reader.has r "lcp");
+            Alcotest.(check bool) (name ^ ": no tr.logs section") false
+              (S.Reader.has r "tr.logs")))
+      [ ("packed", packed); ("succinct", succ) ]
   done
 
 let test_succinct_engine_corruption () =
@@ -548,16 +502,34 @@ let test_succinct_engine_corruption () =
             (corrupt_section (fun () -> ignore (G.load path))))
         targets)
 
-(* A succinct engine written through the legacy marshalled format comes
-   back (as a packed-backend engine) answering identically. *)
-let test_succinct_legacy_roundtrip () =
+(* Saving an engine opened from a container writes the container it
+   came from, byte for byte, for both backends and both metrics: every
+   section is written from what was read, and nothing the reader
+   skipped is needed. *)
+let test_roundtrip_resave () =
   let rng = H.rng_of_seed 80 in
   let u = H.random_ustring rng 50 4 3 in
-  let g = G.build ~backend:Engine.Succinct ~tau_min:0.1 u in
-  with_tmp (fun path ->
-      G.save_legacy g path;
-      let g' = G.load path in
-      check_same_answers "legacy succinct" g g' (patterns_for rng u 10))
+  let docs = List.init 4 (fun _ -> H.random_ustring rng 15 3 2) in
+  let resaved save resave =
+    with_tmp (fun path ->
+        save path;
+        with_tmp (fun path2 ->
+            resave path path2;
+            String.equal (read_file path) (read_file path2)))
+  in
+  List.iter
+    (fun backend ->
+      let g = G.build ~backend ~tau_min:0.1 u in
+      Alcotest.(check bool)
+        (Engine.backend_to_string backend ^ " general re-saved byte-identical")
+        true
+        (resaved (G.save g) (fun src -> G.save (G.load src)));
+      let l = L.build ~backend ~relevance:L.Rel_or ~tau_min:0.1 docs in
+      Alcotest.(check bool)
+        (Engine.backend_to_string backend ^ " listing re-saved byte-identical")
+        true
+        (resaved (L.save l) (fun src -> L.save (L.load src))))
+    [ Engine.Packed; Engine.Succinct ]
 
 (* The Or metric keeps per-level stored-value arrays instead of dead
    bitmaps; exercise both relevance metrics through the listing index,
@@ -667,35 +639,67 @@ let test_roundtrip_batch_domains () =
             (L.query_batch l ~patterns = L.query_batch l' ~patterns)))
 
 (* ------------------------------------------------------------------ *)
-(* Legacy PTI-ENGINE-2 files keep loading through the marshalled path. *)
+(* Retired formats are refused with a typed error that says what to do,
+   never read. *)
 
-let test_legacy_roundtrip () =
-  let rng = H.rng_of_seed 77 in
-  for _ = 1 to 8 do
-    let u = H.random_ustring rng (10 + Random.State.int rng 30) 4 3 in
-    let g = G.build ~tau_min:0.1 u in
-    with_tmp (fun path ->
-        G.save_legacy g path;
-        Alcotest.(check bool) "legacy file lacks the container magic" false
-          (S.file_has_magic path);
-        let g' = G.load path in
-        for _ = 1 to 10 do
-          let pat = H.random_pattern rng u 8 in
-          let tau = 0.1 +. Random.State.float rng 0.6 in
-          Alcotest.(check bool) "legacy load answers identically" true
-            (G.query g ~pattern:pat ~tau = G.query g' ~pattern:pat ~tau)
-        done)
-  done;
-  let docs = List.init 4 (fun _ -> H.random_ustring rng 15 3 2) in
-  let l = L.build ~tau_min:0.1 docs in
-  with_tmp (fun path ->
-      L.save_legacy l path;
-      let l' = L.load path in
-      Alcotest.(check int) "legacy listing n_docs" (L.n_docs l) (L.n_docs l');
-      let d0 = List.hd docs in
-      let pat = H.random_pattern rng d0 5 in
-      Alcotest.(check bool) "legacy listing answers identically" true
-        (L.query l ~pattern:pat ~tau:0.3 = L.query l' ~pattern:pat ~tau:0.3))
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  n = 0 || go 0
+
+let refusal path =
+  let section f =
+    match f () with
+    | () -> Alcotest.failf "%s: a retired file was opened" path
+    | exception S.Corrupt { section; reason } ->
+        if not (contains reason "rebuild") then
+          Alcotest.failf "%s: reason %S does not say to rebuild" path reason;
+        section
+  in
+  let s = section (fun () -> ignore (G.load path)) in
+  Alcotest.(check string) "listing load names the same section" s
+    (section (fun () -> ignore (L.load path)));
+  s
+
+(* A bare 16-byte header is enough: the magic is checked before the
+   file's size or anything after it. *)
+let test_retired_magics () =
+  List.iter
+    (fun m ->
+      with_tmp (fun path ->
+          write_file path (m ^ String.make (16 - String.length m) '\000');
+          Alcotest.(check string) (String.trim m ^ " refused") "header"
+            (refusal path);
+          Alcotest.(check (option string)) (String.trim m ^ " reader")
+            (Some "header")
+            (corrupt_section (fun () -> S.Reader.open_file path))))
+    [ "PTI-ENGINE-2\n"; "PTI-ENGINE-3\n" ]
+
+(* Engine layouts that are gone: a suffix-tree "st" section, an "fm"
+   Marshal blob, a two-element "meta". The cfg and listing blobs are
+   garbage, so the refusal must come before anything is unmarshalled. *)
+let test_retired_engine_layouts () =
+  List.iter
+    (fun (section, add) ->
+      with_tmp (fun path ->
+          let w = S.Writer.create path in
+          S.Writer.add_bytes w "cfg" "not a marshalled config";
+          S.Writer.add_ints w "listing.doc_of" [| 0 |];
+          S.Writer.add_bytes w "listing.meta" "not a marshalled pair";
+          add w;
+          S.Writer.close w;
+          Alcotest.(check string) (section ^ " refused") section (refusal path)))
+    [
+      ( "st",
+        fun w ->
+          S.Writer.add_ints w "meta" [| 1; 1; 0 |];
+          S.Writer.add_bytes w "st" "suffix tree" );
+      ( "fm",
+        fun w ->
+          S.Writer.add_ints w "meta" [| 1; 1; 1 |];
+          S.Writer.add_bytes w "fm" "fm index" );
+      ("meta", fun w -> S.Writer.add_ints w "meta" [| 1; 1 |]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe saves under injected faults: whatever fails and wherever,
@@ -880,23 +884,6 @@ let () =
       (try G.save g_new path with _ -> ());
       exit 9 (* only reached if the failpoint did not abort *)
 
-(* The legacy (pre-container) savers share the same atomic_save
-   protocol. *)
-let test_fault_legacy_save_keeps_old () =
-  let g_old, g_new = make_engines () in
-  with_tmp (fun path ->
-      G.save_legacy g_old path;
-      let old_bytes = read_file path in
-      with_faults (fun () ->
-          F.arm "storage.fsync" (F.Raise Unix.EIO) (F.Nth 1);
-          match G.save_legacy g_new path with
-          | () -> Alcotest.fail "legacy save should have failed"
-          | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
-      Alcotest.(check bool) "legacy destination untouched" true
-        (read_file path = old_bytes);
-      no_temp_left path;
-      ignore (G.load path : G.t))
-
 (* The pattern -> suffix-range step on a packed, memory-mapped engine
    allocates nothing per probe: a served query pays for it on every
    request. Each call may allocate a few words (the [Some (sp, ep)]
@@ -950,9 +937,6 @@ let () =
             test_packed_roundtrip_prop;
           Alcotest.test_case "packed sections detect corruption" `Quick
             test_packed_corruption;
-          Alcotest.test_case "V3 writer roundtrip" `Quick
-            test_v3_writer_roundtrip;
-          Alcotest.test_case "float32 opt-in" `Quick test_f32_optin;
           Alcotest.test_case "mapped views re-save byte-identical" `Quick
             test_packed_resave;
           Alcotest.test_case "suffix_range allocation-free" `Quick
@@ -972,16 +956,21 @@ let () =
             test_roundtrip_succinct_backend;
           Alcotest.test_case "succinct sections detect corruption" `Quick
             test_succinct_engine_corruption;
-          Alcotest.test_case "succinct legacy roundtrip" `Quick
-            test_succinct_legacy_roundtrip;
+          Alcotest.test_case "mapped engines re-save byte-identical" `Quick
+            test_roundtrip_resave;
           Alcotest.test_case "listing metrics and correlations" `Slow
             test_roundtrip_listing;
           Alcotest.test_case "special index" `Quick test_roundtrip_special;
           Alcotest.test_case "query_batch on 4 domains" `Quick
             test_roundtrip_batch_domains;
         ] );
-      ( "legacy",
-        [ Alcotest.test_case "marshalled format loads" `Quick test_legacy_roundtrip ] );
+      ( "retired",
+        [
+          Alcotest.test_case "magics refused up front" `Quick
+            test_retired_magics;
+          Alcotest.test_case "engine layouts refused before unmarshalling"
+            `Quick test_retired_engine_layouts;
+        ] );
       ( "fault",
         [
           Alcotest.test_case "failed save keeps old container" `Quick
@@ -994,7 +983,5 @@ let () =
             test_fault_short_write_resumes;
           Alcotest.test_case "abort mid-save (fork)" `Quick
             test_fault_abort_mid_save;
-          Alcotest.test_case "failed legacy save keeps old file" `Quick
-            test_fault_legacy_save_keeps_old;
         ] );
     ]
