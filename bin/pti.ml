@@ -267,7 +267,7 @@ let container_stats path =
   (* engine containers: backend kind + space-per-position summary *)
   (if S.Reader.has r "meta" then
      let meta = S.Reader.ints r "meta" in
-     if S.Ints.length meta = 3 then begin
+     if S.Ints.length meta >= 3 then begin
        let n = S.Ints.get meta 0 in
        let backend =
          match S.Ints.get meta 2 with
@@ -845,9 +845,11 @@ let build_cmd =
       value & opt string "packed"
       & info [ "backend" ] ~docv:"BACKEND"
           ~doc:
-            "Persisted layout: $(b,packed) (every construction artefact, \
-             fastest queries) or $(b,succinct) (signature-only block RMQs + \
-             FM-index range search; smallest container).")
+            "Range search and with it the persisted layout: $(b,packed) \
+             (suffix-array binary search over the text; the smaller \
+             container) or $(b,succinct) (FM-index backward search; adds \
+             the BWT's wavelet tree). Both store the same signature block \
+             RMQs.")
   in
   Cmd.v
     (Cmd.info "build" ~doc:"Build an index and persist it to disk.")

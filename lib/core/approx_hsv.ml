@@ -158,7 +158,7 @@ let build_links tr ~epsilon marks_by_d =
     marks_by_d;
   !links
 
-let of_transform ?(rmq_kind = Rmq.Sparse) ~epsilon tr =
+let of_transform ~epsilon tr =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Approx_hsv: epsilon must be in (0, 1)";
   let text = Transform.text tr in
@@ -170,12 +170,12 @@ let of_transform ?(rmq_kind = Rmq.Sparse) ~epsilon tr =
   let parent = Array.init (St.n_nodes st) (fun v -> St.parent st v) in
   let lca = Lca.build ~parent ~root:(St.root st) in
   let marks_by_d, n_marks = build_marks tr ~st ~sa ~pos ~lca in
-  let links = Link_stab.build ~rmq_kind (build_links tr ~epsilon marks_by_d) in
+  let links = Link_stab.build (build_links tr ~epsilon marks_by_d) in
   { tr; epsilon; text; sa; links; n_marks }
 
-let build ?rmq_kind ?max_text_len ~epsilon ~tau_min u =
+let build ?max_text_len ~epsilon ~tau_min u =
   let tr = Transform.build ?max_text_len ~tau_min u in
-  of_transform ?rmq_kind ~epsilon tr
+  of_transform ~epsilon tr
 
 let validate_pattern pattern =
   if Array.length pattern = 0 then invalid_arg "Approx_hsv.query: empty pattern";

@@ -21,7 +21,6 @@ module Logp = Pti_prob.Logp
 type t
 
 val build :
-  ?rmq_kind:Pti_rmq.Rmq.kind ->
   ?max_text_len:int ->
   epsilon:float ->
   tau_min:float ->
@@ -29,7 +28,6 @@ val build :
   t
 
 val of_transform :
-  ?rmq_kind:Pti_rmq.Rmq.kind ->
   epsilon:float ->
   Pti_transform.Transform.t ->
   t

@@ -39,19 +39,19 @@ let build_links tr ~epsilon ~pos ~sa n =
   done;
   !links
 
-let of_transform ?(rmq_kind = Rmq.Sparse) ~epsilon tr =
+let of_transform ~epsilon tr =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Approx_index: epsilon must be in (0, 1)";
   let text = Transform.text tr in
   let pos = Transform.pos tr in
   let n = Array.length text in
   let sa = Sais.suffix_array text in
-  let links = Link_stab.build ~rmq_kind (build_links tr ~epsilon ~pos ~sa n) in
+  let links = Link_stab.build (build_links tr ~epsilon ~pos ~sa n) in
   { tr; epsilon; text; sa; n; links }
 
-let build ?rmq_kind ?max_text_len ~epsilon ~tau_min u =
+let build ?max_text_len ~epsilon ~tau_min u =
   let tr = Transform.build ?max_text_len ~tau_min u in
-  of_transform ?rmq_kind ~epsilon tr
+  of_transform ~epsilon tr
 
 let validate_pattern pattern =
   if Array.length pattern = 0 then invalid_arg "Approx_index.query: empty pattern";

@@ -25,7 +25,6 @@ module Logp = Pti_prob.Logp
 type t
 
 val build :
-  ?rmq_kind:Pti_rmq.Rmq.kind ->
   ?max_text_len:int ->
   epsilon:float ->
   tau_min:float ->
@@ -34,7 +33,6 @@ val build :
 (** [epsilon] must be in (0, 1). *)
 
 val of_transform :
-  ?rmq_kind:Pti_rmq.Rmq.kind ->
   epsilon:float ->
   Pti_transform.Transform.t ->
   t

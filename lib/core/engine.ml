@@ -1,6 +1,6 @@
 module Logp = Pti_prob.Logp
 module Par = Pti_parallel
-module Rmq = Pti_rmq.Rmq
+module Rmq_block = Pti_rmq.Rmq_block
 module Sais = Pti_suffix.Sais
 module Lcp = Pti_suffix.Lcp
 module Sa_search = Pti_suffix.Sa_search
@@ -10,27 +10,14 @@ module S = Pti_storage
 
 type ladder = Ladder_geometric | Ladder_full | Ladder_none
 type metric = Max | Or_metric
-type range_search = Rs_binary | Rs_fm
+type config = { ladder : ladder; metric : metric }
 
-type config = {
-  rmq_kind : Rmq.kind;
-  ladder : ladder;
-  metric : metric;
-  range_search : range_search;
-}
+let default_config = { ladder = Ladder_geometric; metric = Max }
 
-let default_config =
-  {
-    rmq_kind = Rmq.Succinct;
-    ladder = Ladder_geometric;
-    metric = Max;
-    range_search = Rs_binary;
-  }
-
-(* Which persisted layout the engine targets. [Packed] keeps the
-   Fischer–Heun RMQs and suffix-array binary search; [Succinct] trades a
-   little query latency for space — signature-only block RMQs and
-   FM-index range search. *)
+(* Which persisted layout the engine targets. Both keep the same
+   signature block RMQs; the backend only chooses the range search:
+   [Packed] binary-searches the suffix array over the text, [Succinct]
+   adds an FM index and searches backwards through it. *)
 type backend = Packed | Succinct
 
 let backend_to_string = function Packed -> "packed" | Succinct -> "succinct"
@@ -39,14 +26,6 @@ let backend_of_string = function
   | "packed" -> Some Packed
   | "succinct" -> Some Succinct
   | _ -> None
-
-(* Config overrides implied by a backend; metric/ladder choices are
-   orthogonal and kept. *)
-let backend_config backend cfg =
-  match backend with
-  | Packed -> cfg
-  | Succinct ->
-      { cfg with rmq_kind = Rmq.Block Pti_rmq.Rmq_block.max_block; range_search = Rs_fm }
 
 (* Max-heap of (priority, a, b, c) used for reporting in non-increasing
    probability order. *)
@@ -128,9 +107,9 @@ type t = {
   max_short : int;
   dead : S.Bits.t array; (* Max metric: per level, bit set = suppressed slot *)
   stored : S.floats array; (* Or metric: per level, metric value per slot *)
-  level_rmq : Rmq.t array;
+  level_rmq : Rmq_block.t array;
   ladder_sizes : int array;
-  ladder_rmq : Rmq.t array;
+  ladder_rmq : Rmq_block.t array;
   ladder_max : S.floats array;
   fm : Pti_succinct.Fm_index.t option;
 }
@@ -179,7 +158,6 @@ let make_level_value ~metric ~dead ~stored ~slot_value level j =
 
 let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
     tr =
-  let config = backend_config backend config in
   let text = Transform.text tr in
   let pos = Transform.pos tr in
   let n = Array.length text in
@@ -197,19 +175,35 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
     | Max -> [||]
     | Or_metric -> Array.init n_levels (fun _ -> Array.make n neg_infinity)
   in
-  (* Per-level duplicate elimination: within each depth-i lcp-group,
-     keep one representative slot per key (Algorithm 3's "duplicate
-     elimination in C_i"). Levels are mutually independent — level i
-     reads only shared immutable data (sa, lcp, pos, the transform) and
-     writes only dead.(i-1) / stored.(i-1) — so they are sharded across
-     the domain pool. Scratch arrays are per-domain and reused across
-     groups and levels to keep construction allocation-free on the hot
-     path. *)
+  (* The key of every suffix-array slot, once: duplicate elimination
+     compares keys at every level. Slots without a position (negative
+     [pos]) are -infinity at every level and never keyed. *)
+  let slot_key =
+    Array.init n (fun s ->
+        let p = pos.(sa.(s)) in
+        if p < 0 then -1 else key_of_pos p)
+  in
+  let key_span = 1 + Array.fold_left Stdlib.max (-1) slot_key in
+  (* One pass per level. Within each depth-i lcp-group, keep one
+     representative slot per key — the first of its most probable slots
+     (Algorithm 3's "duplicate elimination in C_i") — then build the
+     level's RMQ over the values that pass computed. Representatives
+     live in a key-indexed array stamped with the group's number, so a
+     group costs no clearing. Levels are mutually independent — level i
+     reads only shared immutable data (sa, lcp, pos, the transform, the
+     slot keys) and writes only dead.(i-1) / stored.(i-1) /
+     level_built.(i-1) — so they are sharded across the domain pool.
+     Scratch arrays are per-domain and reused across groups and levels.
+     Negative keys are never deduplicated. *)
+  let level_built = Array.make n_levels None in
   Par.parallel_for_init ?domains ~chunk:1 ~start:1 ~finish:n_levels
     ~init:(fun () ->
-      (* (values, keys, key -> representative slot of current group) *)
-      (Array.make n 0.0, Array.make n (-1), Hashtbl.create 256))
-    (fun (scratch_v, scratch_key, best) level ->
+      (* (slot values, key -> representative slot, key -> its group,
+         groups seen) *)
+      (Array.make n 0.0, Array.make key_span 0, Array.make key_span 0, ref 0))
+    (fun (vals, rep, stamp, groups) level ->
+      let dead = dead.(level - 1) in
+      let keyed s = vals.(s) <> neg_infinity && slot_key.(s) >= 0 in
       let j = ref 0 in
       while !j < n do
         let g0 = !j in
@@ -217,35 +211,37 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
         while !g1 < n && lcp.(!g1) >= level do
           incr g1
         done;
-        Hashtbl.reset best;
+        incr groups;
+        let g = !groups in
         for s = g0 to !g1 - 1 do
           let v = slot_value s level in
-          scratch_v.(s) <- v;
-          if v = neg_infinity then begin
-            bit_set dead.(level - 1) s;
-            scratch_key.(s) <- -1
-          end
+          vals.(s) <- v;
+          if v = neg_infinity then bit_set dead s
           else begin
-            let key = key_of_pos pos.(sa.(s)) in
-            scratch_key.(s) <- key;
-            match Hashtbl.find_opt best key with
-            | None -> Hashtbl.replace best key s
-            | Some b -> if v > scratch_v.(b) then Hashtbl.replace best key s
+            let key = slot_key.(s) in
+            if key >= 0 then
+              if stamp.(key) <> g then begin
+                stamp.(key) <- g;
+                rep.(key) <- s
+              end
+              else if v > vals.(rep.(key)) then rep.(key) <- s
           end
         done;
         (match config.metric with
         | Max ->
             for s = g0 to !g1 - 1 do
-              if scratch_key.(s) >= 0 && Hashtbl.find best scratch_key.(s) <> s
-              then bit_set dead.(level - 1) s
+              if keyed s && rep.(slot_key.(s)) <> s then begin
+                bit_set dead s;
+                vals.(s) <- neg_infinity
+              end
             done
         | Or_metric ->
             (* Per key, OR-combine over the key's distinct positions and
                store the result at the representative slot. *)
             let occ = Hashtbl.create 16 in
             for s = g0 to !g1 - 1 do
-              if scratch_key.(s) >= 0 then begin
-                let key = scratch_key.(s) in
+              if keyed s then begin
+                let key = slot_key.(s) in
                 let h =
                   match Hashtbl.find_opt occ key with
                   | Some h -> h
@@ -254,17 +250,23 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
                       Hashtbl.replace occ key h;
                       h
                 in
-                Hashtbl.replace h pos.(sa.(s)) scratch_v.(s)
+                Hashtbl.replace h pos.(sa.(s)) vals.(s)
               end
             done;
             Hashtbl.iter
               (fun key h ->
-                let rep = Hashtbl.find best key in
                 let entries = Hashtbl.fold (fun p l acc -> (p, l) :: acc) h [] in
-                stored.(level - 1).(rep) <- or_value entries)
+                stored.(level - 1).(rep.(key)) <- or_value entries)
               occ);
         j := !g1
-      done);
+      done;
+      let value =
+        match config.metric with
+        | Max -> Array.get vals
+        | Or_metric -> Array.get stored.(level - 1)
+      in
+      level_built.(level - 1) <-
+        Some (Rmq_block.build_oracle ~block:Rmq_block.max_block ~value ~len:n));
   (* Blocking ladder for long patterns. *)
   let ladder_sizes =
     match config.ladder with
@@ -295,31 +297,31 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
       ladder_sizes
   in
   let fm =
-    match config.range_search with
-    | Rs_fm -> Some (Pti_succinct.Fm_index.create ~sa text)
-    | Rs_binary -> None
+    match backend with
+    | Succinct -> Some (Pti_succinct.Fm_index.create ~sa text)
+    | Packed -> None
   in
   let dead = Array.map S.Bits.of_bytes dead in
   let stored = Array.map S.Floats.of_array stored in
   let ladder_max = Array.map S.Floats.of_array ladder_max in
-  (* The per-level RMQ structures are mutually independent (each reads
-     only its own dead bitmap / stored array plus shared read-only
-     data), as are the per-size ladder RMQs, so both builds shard
-     levels across the domain pool. *)
+  (* The level RMQs answer through the level-value oracle: a heap
+     engine keeps no per-level value array. *)
   let level_value =
     make_level_value ~metric:config.metric ~dead ~stored ~slot_value
   in
   let level_rmq =
-    Par.parallel_map_array ?domains ~chunk:1
-      (fun k ->
-        Rmq.build_oracle config.rmq_kind ~value:(level_value (k + 1)) ~len:n)
-      (Array.init max_short (fun k -> k))
+    Array.mapi
+      (fun k r ->
+        Rmq_block.with_oracle (Option.get r) ~value:(level_value (k + 1)))
+      level_built
   in
+  (* The per-size ladder RMQs are mutually independent, so their builds
+     are sharded across the domain pool too. *)
   let ladder_rmq =
     Par.parallel_map_array ?domains ~chunk:1
       (fun pb ->
-        Rmq.build_oracle config.rmq_kind ~value:(S.Floats.get pb)
-          ~len:(S.Floats.length pb))
+        Rmq_block.build_oracle ~block:Rmq_block.max_block
+          ~value:(S.Floats.get pb) ~len:(S.Floats.length pb))
       ladder_max
   in
   {
@@ -378,7 +380,7 @@ let short_stream t ~level ~l ~r ~ltau =
   let heap = Heap.create () in
   let seed l r =
     if l <= r then begin
-      let mx = Rmq.query rmq ~l ~r in
+      let mx = Rmq_block.query rmq ~l ~r in
       let v = level_value t level mx in
       if v > ltau then Heap.push heap v (mx, l, r)
     end
@@ -429,7 +431,7 @@ let long_query_blocks t ~m ~l ~r ~ltau =
     let bl = l / s and br = r / s in
     let rec go bl br =
       if bl <= br then begin
-        let k = Rmq.query rmq ~l:bl ~r:br in
+        let k = Rmq_block.query rmq ~l:bl ~r:br in
         if S.Floats.get pb k > ltau then begin
           let lo = Stdlib.max l (k * s) and hi = Stdlib.min r (((k + 1) * s) - 1) in
           for j = lo to hi do
@@ -550,8 +552,8 @@ let query_batch ?domains t ~patterns =
 
 let size_words t =
   let rmq_words =
-    Array.fold_left (fun acc r -> acc + Rmq.size_words r) 0 t.level_rmq
-    + Array.fold_left (fun acc r -> acc + Rmq.size_words r) 0 t.ladder_rmq
+    Array.fold_left (fun acc r -> acc + Rmq_block.size_words r) 0 t.level_rmq
+    + Array.fold_left (fun acc r -> acc + Rmq_block.size_words r) 0 t.ladder_rmq
   in
   (* each dead bitmap is (n+7)/8 bytes, i.e. ceil(bytes/8) words *)
   let dead_words = Array.length t.dead * ((((t.n + 7) / 8) + 7) / 8) in
@@ -572,8 +574,8 @@ let size_words t =
 (* Byte-accurate accounting: packed views count at their packed width. *)
 let size_bytes t =
   let rmq_bytes =
-    Array.fold_left (fun acc r -> acc + Rmq.size_bytes r) 0 t.level_rmq
-    + Array.fold_left (fun acc r -> acc + Rmq.size_bytes r) 0 t.ladder_rmq
+    Array.fold_left (fun acc r -> acc + Rmq_block.size_bytes r) 0 t.level_rmq
+    + Array.fold_left (fun acc r -> acc + Rmq_block.size_bytes r) 0 t.ladder_rmq
   in
   let dead_bytes =
     Array.fold_left (fun acc b -> acc + S.Bits.byte_length b) 0 t.dead
@@ -594,17 +596,14 @@ let size_bytes t =
 
 let stats t =
   Printf.sprintf
-    "engine: N=%d backend=%s levels=%d ladder=[%s] metric=%s rmq=%s size=%d \
-     words | %s"
+    "engine: N=%d backend=%s levels=%d ladder=[%s] metric=%s size=%d words \
+     | %s"
     t.n
     (backend_to_string t.backend)
     t.max_short
     (String.concat ","
        (Array.to_list (Array.map string_of_int t.ladder_sizes)))
     (match t.cfg.metric with Max -> "max" | Or_metric -> "or")
-    (Rmq.kind_to_string t.cfg.rmq_kind
-    ^
-    match t.cfg.range_search with Rs_binary -> "" | Rs_fm -> "+fm")
     (size_words t) (Transform.stats t.tr)
 
 (* ------------------------------------------------------------------ *)
@@ -620,9 +619,22 @@ let stats t =
 
 let backend_tag = function Packed -> 0 | Succinct -> 1
 
+let ladder_tag = function
+  | Ladder_geometric -> 0
+  | Ladder_full -> 1
+  | Ladder_none -> 2
+
+let metric_tag = function Max -> 0 | Or_metric -> 1
+
 let save_to_writer t w =
-  S.Writer.add_bytes w "cfg" (Marshal.to_string t.cfg []);
-  S.Writer.add_ints w "meta" [| t.n; t.max_short; backend_tag t.backend |];
+  S.Writer.add_ints w "meta"
+    [|
+      t.n;
+      t.max_short;
+      backend_tag t.backend;
+      ladder_tag t.cfg.ladder;
+      metric_tag t.cfg.metric;
+    |];
   Transform.save_parts w t.tr;
   S.Writer.add_ints_ba w "sa" t.sa;
   (match t.cfg.metric with
@@ -640,10 +652,12 @@ let save_to_writer t w =
     (fun i a -> S.Writer.add_floats_ba w (Printf.sprintf "ladder.max.%d" (i + 1)) a)
     t.ladder_max;
   Array.iteri
-    (fun i r -> Rmq.save_parts w ~prefix:(Printf.sprintf "rmq.level.%d" (i + 1)) r)
+    (fun i r ->
+      Rmq_block.save_parts w ~prefix:(Printf.sprintf "rmq.level.%d" (i + 1)) r)
     t.level_rmq;
   Array.iteri
-    (fun i r -> Rmq.save_parts w ~prefix:(Printf.sprintf "rmq.ladder.%d" (i + 1)) r)
+    (fun i r ->
+      Rmq_block.save_parts w ~prefix:(Printf.sprintf "rmq.ladder.%d" (i + 1)) r)
     t.ladder_rmq;
   match t.fm with
   | None -> ()
@@ -656,25 +670,29 @@ let save ?extra t path =
   S.Writer.close w
 
 let open_reader ~key_of_pos r =
-  (* Layouts this code no longer reads are refused before [cfg] is
-     unmarshalled: a suffix-tree ("st") container's [cfg] names a range
-     search that no longer exists. *)
+  (* Layouts this code no longer reads are refused before anything else
+     is decoded. A "cfg" section is the marshalled config record of
+     containers that also held Fischer–Heun RMQs or block RMQs without
+     stored block maxima; its record shape is not this one. *)
   if S.Reader.has r "st" then S.retired "st" "a suffix-tree range-search index";
   if S.Reader.has r "fm" then S.retired "fm" "a marshalled FM-index";
   let meta = S.Reader.ints r "meta" in
   if S.Ints.length meta = 2 then S.retired "meta" "a pre-backend engine";
-  if S.Ints.length meta <> 3 then
-    raise (S.Corrupt { section = "meta"; reason = "engine meta has wrong arity" });
-  let cfg : config = Marshal.from_string (S.Reader.blob r "cfg") 0 in
+  if S.Reader.has r "cfg" then S.retired "cfg" "an engine with a marshalled config";
+  let fail reason = raise (S.Corrupt { section = "meta"; reason }) in
+  if S.Ints.length meta <> 5 then fail "engine meta has wrong arity";
+  let tag i what n =
+    let k = S.Ints.get meta i in
+    if k < 0 || k >= n then fail (Printf.sprintf "unknown %s tag %d" what k);
+    k
+  in
   let n = S.Ints.get meta 0 and max_short = S.Ints.get meta 1 in
-  let backend =
-    match S.Ints.get meta 2 with
-    | 0 -> Packed
-    | 1 -> Succinct
-    | k ->
-        raise
-          (S.Corrupt
-             { section = "meta"; reason = Printf.sprintf "unknown backend tag %d" k })
+  let backend = [| Packed; Succinct |].(tag 2 "backend" 2) in
+  let cfg =
+    {
+      ladder = [| Ladder_geometric; Ladder_full; Ladder_none |].(tag 3 "ladder" 3);
+      metric = [| Max; Or_metric |].(tag 4 "metric" 2);
+    }
   in
   let tr = Transform.open_parts r in
   let text = Transform.text_storage tr in
@@ -714,20 +732,20 @@ let open_reader ~key_of_pos r =
   in
   let level_rmq =
     Array.init max_short (fun i ->
-        Rmq.open_parts r
+        Rmq_block.open_parts r
           ~prefix:(Printf.sprintf "rmq.level.%d" (i + 1))
           ~value:(level_value (i + 1)))
   in
   let ladder_rmq =
     Array.init (Array.length ladder_sizes) (fun i ->
-        Rmq.open_parts r
+        Rmq_block.open_parts r
           ~prefix:(Printf.sprintf "rmq.ladder.%d" (i + 1))
           ~value:(S.Floats.get ladder_max.(i)))
   in
   let fm =
-    if S.Reader.has r "fm.meta" then
-      Some (Pti_succinct.Fm_index.open_parts r ~prefix:"fm")
-    else None
+    match backend with
+    | Succinct -> Some (Pti_succinct.Fm_index.open_parts r ~prefix:"fm")
+    | Packed -> None
   in
   {
     tr;

@@ -42,33 +42,23 @@ type ladder =
 
 type metric = Max | Or_metric
 
-type range_search =
-  | Rs_binary
-      (** Suffix-array binary search, O(m log N) with text access. *)
-  | Rs_fm
-      (** FM-index backward search, O(m log σ) without text access —
-          the compressed-suffix-array role of §8.7. Adds the wavelet
-          tree of the BWT to the index. *)
-
-type config = {
-  rmq_kind : Pti_rmq.Rmq.kind;
-  ladder : ladder;
-  metric : metric;
-  range_search : range_search;
-}
+type config = { ladder : ladder; metric : metric }
 
 val default_config : config
-(** Succinct RMQ, geometric ladder, [Max] metric, binary search. *)
+(** Geometric ladder, [Max] metric. *)
 
+(** The persisted layout. Both backends store the same signature block
+    RMQ ({!Pti_rmq.Rmq_block}, ≈4.1 bits per element) for every level
+    and ladder size; a backend only chooses the pattern → suffix-range
+    step. *)
 type backend =
   | Packed
-      (** Fischer–Heun RMQs and suffix-array binary search. Fastest
-          queries. *)
+      (** Suffix-array binary search over the stored text, O(m log N).
+          The smaller container. *)
   | Succinct
-      (** Space-lean serving layout: signature-only block RMQs (≈2 bits
-          per element per level) and FM-index range search instead of
-          suffix-array binary search. Targets < 4 words per text
-          position at a small constant-factor query latency cost. *)
+      (** FM-index backward search, O(m log σ) without text access —
+          the compressed-suffix-array role of §8.7. Adds the wavelet
+          tree of the BWT to the container. *)
 
 val backend_to_string : backend -> string
 val backend_of_string : string -> backend option
@@ -82,11 +72,9 @@ val build :
   key_of_pos:(int -> int) ->
   Pti_transform.Transform.t ->
   t
-(** [backend] (default [Packed]) selects the persisted layout;
-    [Succinct] overrides the config's [rmq_kind] to the signature-only
-    block RMQ and [range_search] to [Rs_fm] (metric and ladder choices
-    are kept). The backend is recorded in the container header and
-    restored by {!load}.
+(** [backend] (default [Packed]) selects the range search and with it
+    the persisted layout. The backend and the config are recorded in
+    the container's [meta] section and restored by {!load}.
 
     [key_of_pos] maps an original uncertain-string position to the
     output key; it must be total on positions occurring in the
@@ -96,8 +84,9 @@ val build :
 
     [?domains] sets the construction parallelism (default:
     [Pti_parallel.num_domains ()], i.e. [PTI_DOMAINS] or the hardware
-    count). The per-level duplicate-elimination sweeps, the ladder block
-    maxima and the per-level RMQ builds run one level per domain; the
+    count). The per-level sweeps (duplicate elimination and the level's
+    RMQ), the ladder block maxima and the ladder RMQs run one level per
+    domain; the
     result is byte-identical for every domain count because each level
     owns its outputs outright. [domains:1] runs the exact sequential
     code path. *)
@@ -190,8 +179,8 @@ val stats : t -> string
     of N up to the optional checksum pass. Mapped engines are immutable
     and page-cache-shared, so concurrent domains ({!query_batch}) and
     separate OS processes serving the same file share one physical copy.
-    Only small records (the config, the transform's metadata) and the
-    source string remain [Marshal] blobs (the source is deserialized
+    Only the transform's small metadata record and the source string
+    remain [Marshal] blobs (the source is deserialized
     lazily, eagerly only for correlated inputs). The LCP array and the
     per-position logs are construction artefacts and are not saved. *)
 
@@ -217,5 +206,7 @@ val open_reader : key_of_pos:(int -> int) -> Pti_storage.Reader.t -> t
 (** {!load} for an already-open container — wrappers use this to read
     their own sections from the same reader. Containers of a retired
     engine layout (a suffix-tree "st" section, a marshalled "fm"
-    FM-index, a two-element "meta") raise {!Pti_storage.Corrupt}
-    before any [Marshal] blob is read. *)
+    FM-index, a two-element "meta", a marshalled "cfg" config, an RMQ
+    other than the signature block RMQ) raise {!Pti_storage.Corrupt}
+    saying to rebuild, the section-level ones before any [Marshal]
+    blob is read. *)

@@ -25,4 +25,5 @@ let size_words t = Engine.size_words t.engine
 let size_bytes t = Engine.size_bytes t.engine
 
 let save t path = Engine.save t.engine path
-let load ?verify path = { engine = Engine.load ?verify ~key_of_pos:(fun p -> p) path }
+let open_reader r = { engine = Engine.open_reader ~key_of_pos:(fun p -> p) r }
+let load ?verify path = open_reader (Pti_storage.Reader.open_file ?verify path)

@@ -68,3 +68,6 @@ val save : t -> string -> unit
 val load : ?verify:bool -> string -> t
 (** Open a saved index: the container is memory-mapped with no rebuild
     work at all. See {!Engine.load}. *)
+
+val open_reader : Pti_storage.Reader.t -> t
+(** {!load} for an already-open container. *)

@@ -40,7 +40,7 @@ type t = {
   n_links : int;
 }
 
-let build ?(rmq_kind = Rmq.Sparse) links =
+let build links =
   let max_depth =
     List.fold_left (fun acc l -> Stdlib.max acc l.o_depth) 1 links
   in
@@ -73,7 +73,7 @@ let build ?(rmq_kind = Rmq.Sparse) links =
         | _ ->
             let lks = Array.of_list bucket in
             Array.sort (fun a b -> compare (a.lo, a.hi) (b.lo, b.hi)) lks;
-            let rmq = Rmq.build rmq_kind (Array.map (fun l -> l.value) lks) in
+            let rmq = Rmq.build Sparse (Array.map (fun l -> l.value) lks) in
             Some { lks; rmq })
       buckets
   in

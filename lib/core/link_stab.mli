@@ -40,7 +40,7 @@ val epsilon_partition :
 
 type t
 
-val build : ?rmq_kind:Pti_rmq.Rmq.kind -> link list -> t
+val build : link list -> t
 val n_links : t -> int
 val depth_size : t -> int
 

@@ -15,7 +15,7 @@ type t = {
   relevance : relevance;
 }
 
-let build ?(rmq_kind = Pti_rmq.Rmq.Succinct) ?(ladder = Engine.Ladder_geometric)
+let build ?(ladder = Engine.Ladder_geometric)
     ?(relevance = Rel_max) ?backend ?domains ?max_text_len ~tau_min docs =
   if docs = [] then invalid_arg "Listing_index.build: empty collection";
   List.iteri
@@ -40,7 +40,7 @@ let build ?(rmq_kind = Pti_rmq.Rmq.Succinct) ?(ladder = Engine.Ladder_geometric)
   let metric =
     match relevance with Rel_max -> Engine.Max | Rel_or -> Engine.Or_metric
   in
-  let config = { Engine.default_config with rmq_kind; ladder; metric } in
+  let config = { Engine.ladder; metric } in
   let engine =
     Engine.build ~config ?backend ?domains ~key_of_pos:(fun p -> doc_of.(p)) tr
   in
@@ -96,8 +96,7 @@ let save ?(extra = fun (_ : S.Writer.t) -> ()) t path =
 
 (* The engine is opened first, so a retired engine layout is refused
    before any listing blob is unmarshalled. *)
-let load ?verify path =
-  let r = S.Reader.open_file ?verify path in
+let open_reader r =
   let doc_of = S.Reader.ints r "listing.doc_of" in
   let engine = Engine.open_reader ~key_of_pos:(S.Ints.get doc_of) r in
   let relevance, n_docs =
@@ -105,3 +104,5 @@ let load ?verify path =
   in
   let docs = lazy (Marshal.from_string (S.Reader.blob r "listing.docs") 0) in
   { engine; docs; n_docs; relevance }
+
+let load ?verify path = open_reader (S.Reader.open_file ?verify path)

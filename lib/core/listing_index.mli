@@ -28,7 +28,6 @@ type relevance = Rel_max | Rel_or
 type t
 
 val build :
-  ?rmq_kind:Pti_rmq.Rmq.kind ->
   ?ladder:Engine.ladder ->
   ?relevance:relevance ->
   ?backend:Engine.backend ->
@@ -96,3 +95,6 @@ val load : ?verify:bool -> string -> t
 (** Open a saved index: the container is memory-mapped, with the
     documents deserialized lazily on first {!doc} access. See
     {!Engine.load}. *)
+
+val open_reader : Pti_storage.Reader.t -> t
+(** {!load} for an already-open container. *)

@@ -64,7 +64,7 @@ let pi_by_position tr ~tau_c ~pos n =
   done;
   pi
 
-let build ?(rmq_kind = Rmq.Succinct) ?max_text_len ~tau_c u =
+let build ?max_text_len ~tau_c u =
   if Pti_ustring.Ustring.length u = 0 then
     invalid_arg "Property_index.build: empty string";
   let tr = Transform.build ?max_text_len ~tau_min:tau_c u in
@@ -75,7 +75,9 @@ let build ?(rmq_kind = Rmq.Succinct) ?max_text_len ~tau_c u =
   let pi_pos = pi_by_position tr ~tau_c ~pos n in
   let pi = Array.init n (fun j -> pi_pos.(sa.(j))) in
   let rmq =
-    Rmq.build_oracle rmq_kind ~value:(fun j -> float_of_int pi.(j)) ~len:n
+    Rmq.build_oracle (Block Pti_rmq.Rmq_block.max_block)
+      ~value:(fun j -> float_of_int pi.(j))
+      ~len:n
   in
   { tr; text; pos; sa; pi; rmq }
 

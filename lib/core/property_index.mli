@@ -22,7 +22,6 @@ module Logp = Pti_prob.Logp
 type t
 
 val build :
-  ?rmq_kind:Pti_rmq.Rmq.kind ->
   ?max_text_len:int ->
   tau_c:float ->
   Pti_ustring.Ustring.t ->

@@ -31,6 +31,3 @@ let query t ~l ~r =
 let size_words _ = 2
 let size_bytes _ = 16
 
-(* Nothing beyond the length to persist: the structure is the oracle. *)
-let save_parts _w ~prefix:_ _t = ()
-let open_parts _r ~prefix:_ ~value ~len = { value; len }

@@ -4,12 +4,14 @@ module S = Pti_storage
 
 type handle = General of G.t | Listing of L.t
 
-(* Sniff the container kind from its section table without loading:
-   listing indexes own a "listing.meta" section. *)
+(* One mapping per open: the container kind is read from the section
+   table of the reader the index is then opened from — listing indexes
+   own a "listing.meta" section. *)
 let load_handle ?verify path =
   ignore (Pti_fault.hit "cache.open" : int option);
-  if S.Reader.has (S.Reader.open_file ~verify:false path) "listing.meta" then Listing (L.load ?verify path)
-  else General (G.load ?verify path)
+  let r = S.Reader.open_file ?verify path in
+  if S.Reader.has r "listing.meta" then Listing (L.open_reader r)
+  else General (G.open_reader r)
 
 type entry = { handle : handle; mutable last_use : int }
 

@@ -145,6 +145,11 @@ let magic_padded = magic ^ String.make (16 - String.length magic) '\000'
    refused. ENGINE-2 was one Marshal stream, ENGINE-3 the same container
    with every element a 64-bit word. *)
 let retired_magics = [ "PTI-ENGINE-2\n"; "PTI-ENGINE-3\n" ]
+
+(* ENGINE-2 listing files began with the listing's own [Marshal]
+   header: the magic number 0x8495A6BE, or 0x8495A6BF for big values. *)
+let marshal_magics = [ "\x84\x95\xA6\xBE"; "\x84\x95\xA6\xBF" ]
+
 let header_bytes = 48
 let entry_words = 6 (* kind, offset, length, checksum, width, bias *)
 let sentinel = 0x0123456789ABCDEF
@@ -556,11 +561,14 @@ module Reader = struct
          stream has no reason to be a multiple of 8 bytes long. *)
       let head = Bytes.create 16 in
       let got = try Unix.read fd head 0 16 with Unix.Unix_error _ -> 0 in
+      let starts m =
+        got >= String.length m && Bytes.sub_string head 0 (String.length m) = m
+      in
       List.iter
-        (fun m ->
-          if got >= String.length m && Bytes.sub_string head 0 (String.length m) = m
-          then retired "header" (String.trim m))
+        (fun m -> if starts m then retired "header" (String.trim m))
         retired_magics;
+      if List.exists starts marshal_magics then
+        retired "header" "a marshalled PTI-ENGINE-2 index";
       if size < header_bytes + 8 then
         corrupt "header" "file is %d bytes, smaller than any index (truncated?)"
           size;

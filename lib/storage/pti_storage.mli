@@ -164,7 +164,8 @@ module Reader : sig
   val open_file : ?verify:bool -> string -> t
   (** Map the file and parse the header and section table, raising
       {!Corrupt} on any structural problem. A file that starts with a
-      retired magic ("PTI-ENGINE-2", "PTI-ENGINE-3") is refused first,
+      retired magic ("PTI-ENGINE-2", "PTI-ENGINE-3", or the [Marshal]
+      header an ENGINE-2 listing file began with) is refused first,
       with [section = "header"] and a reason that says to rebuild it
       with [pti build]. With [verify]
       (default [true]) every section's checksum is verified eagerly —

@@ -64,3 +64,30 @@ let logp_testable =
   Alcotest.testable
     (fun ppf l -> Format.fprintf ppf "%s" (Logp.to_string l))
     (fun a b -> Logp.approx_equal ~eps:1e-9 a b)
+
+(* Rewrite the container at [src] to [dst] section by section, in file
+   order, with [replace name] substituting an ints payload — how tests
+   hand-write a container of a layout the writer no longer produces,
+   with valid checksums. [src] may equal [dst]. *)
+let rewrite_container ~src ~dst replace =
+  let module S = Pti_storage in
+  let r = S.Reader.open_file src in
+  let w = S.Writer.create dst in
+  List.iter
+    (fun i ->
+      let name = i.S.Reader.si_name in
+      match (replace name, i.S.Reader.si_kind) with
+      | Some ints, _ -> S.Writer.add_ints w name ints
+      | None, "ints" -> S.Writer.add_ints_ba w name (S.Reader.ints r name)
+      | None, "floats" -> S.Writer.add_floats_ba w name (S.Reader.floats r name)
+      | None, _ -> S.Writer.add_bytes w name (S.Reader.blob r name))
+    (S.Reader.table r);
+  S.Writer.close w
+
+(* [replace] for {!rewrite_container}: the first level RMQ's kind tag
+   becomes 2, the Fischer–Heun structure packed containers once held. *)
+let fischer_heun_kind src name =
+  if name = "rmq.level.1.kind" then
+    let r = Pti_storage.Reader.open_file src in
+    Some [| 2; Pti_storage.Ints.get (Pti_storage.Reader.ints r name) 1 |]
+  else None

@@ -96,15 +96,11 @@ let test_config_variants_agree () =
   let rng = H.rng_of_seed 56 in
   let configs =
     List.concat_map
-      (fun rmq_kind ->
-        List.concat_map
-          (fun ladder ->
-            List.map
-              (fun range_search ->
-                { Engine.default_config with rmq_kind; ladder; range_search })
-              [ Engine.Rs_binary; Engine.Rs_fm ])
+      (fun backend ->
+        List.map
+          (fun ladder -> (backend, { Engine.default_config with ladder }))
           [ Engine.Ladder_geometric; Engine.Ladder_full; Engine.Ladder_none ])
-      Pti_rmq.Rmq.all_kinds
+      [ Engine.Packed; Engine.Succinct ]
   in
   for _ = 1 to 25 do
     let u = H.random_ustring rng (5 + Random.State.int rng 25) 3 3 in
@@ -113,8 +109,8 @@ let test_config_variants_agree () =
     let tau = 0.1 +. Random.State.float rng 0.5 in
     let want = oracle_positions u pat tau in
     List.iter
-      (fun config ->
-        let g = G.build ~config ~tau_min u in
+      (fun (backend, config) ->
+        let g = G.build ~config ~backend ~tau_min u in
         Alcotest.(check (list int))
           "config variant agrees" want
           (H.sorted_fst (G.query g ~pattern:pat ~tau)))

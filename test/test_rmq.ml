@@ -1,8 +1,13 @@
 (* Tests for Pti_rmq: the three RMQ implementations must agree with a
    reference scan, return the leftmost maximum, and behave identically
-   through the oracle-based constructor. *)
+   through the oracle-based constructor; the signature block RMQ the
+   engine persists must do so at every block size, with its stored
+   block maxima, and after a reopen from a mapped container. *)
 
 module Rmq = Pti_rmq.Rmq
+module Block = Pti_rmq.Rmq_block
+module Naive = Pti_rmq.Rmq_naive
+module S = Pti_storage
 
 let reference a l r =
   let best = ref l in
@@ -93,29 +98,11 @@ let test_kind_strings () =
 let test_size_words () =
   let a = Array.init 4096 (fun i -> float_of_int (i mod 13)) in
   let sparse = Rmq.build Sparse a in
-  let succinct = Rmq.build Succinct a in
   let block = Rmq.build (Block 31) a in
   let naive = Rmq.build Naive a in
   Alcotest.(check bool) "naive tiny" true (Rmq.size_words naive < 8);
-  Alcotest.(check bool) "succinct smaller than sparse" true
-    (Rmq.size_words succinct < Rmq.size_words sparse);
-  Alcotest.(check bool) "block smaller than succinct" true
-    (Rmq.size_words block < Rmq.size_words succinct)
-
-(* Large instance exercising the succinct structure's recursive top
-   level (cutoff 4096 blocks). *)
-let test_succinct_large () =
-  let n = 300_000 in
-  let rng = Random.State.make [| 5 |] in
-  let a = Array.init n (fun _ -> Random.State.float rng 1.0) in
-  let t = Rmq.build Succinct a in
-  for _ = 1 to 500 do
-    let l = Random.State.int rng n in
-    let r = l + Random.State.int rng (n - l) in
-    Alcotest.(check int)
-      "succinct large" (reference a l r)
-      (Rmq.query t ~l ~r)
-  done
+  Alcotest.(check bool) "block smaller than sparse" true
+    (Rmq.size_words block < Rmq.size_words sparse)
 
 (* Large instance exercising the block structure's recursive top level
    (cutoff 2048 blocks): 300k / 31 ≈ 9.7k blocks → one recursion. *)
@@ -157,6 +144,99 @@ let prop_agree kind =
       let t = Rmq.build kind a in
       Rmq.query t ~l ~r = reference a l r)
 
+(* The signature block RMQ against the naive scan, over arrays of heavy
+   ties and runs of -infinity (what dead slots look like), at every
+   block size, with partial last blocks and lengths straddling the
+   sparse/recursive top cutoff. Every block's argmax from its mask word
+   must equal the signature's decode of the full block, every in-block
+   range must decode right from the signature alone (up to 40 blocks
+   a case, every range of each), and a reopen from a mapped container
+   must answer the same. *)
+let tied_array rng len =
+  let a = Array.make len neg_infinity in
+  let i = ref 0 in
+  while !i < len do
+    let run = 1 + Random.State.int rng 8 in
+    let v =
+      if Random.State.int rng 3 = 0 then neg_infinity
+      else float_of_int (Random.State.int rng 4)
+    in
+    for j = !i to Stdlib.min len (!i + run) - 1 do
+      a.(j) <- v
+    done;
+    i := !i + run
+  done;
+  a
+
+let with_tmp f =
+  let path = Filename.temp_file "pti_rmq" ".idx" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let block_matches_naive (block, near_cutoff, seed) =
+  let rng = Random.State.make [| seed |] in
+  let len =
+    if near_cutoff then (Block.sparse_cutoff * block) + Random.State.int rng 3 - 1
+    else 1 + Random.State.int rng (4 * block)
+  in
+  let a = tied_array rng len in
+  let value i = a.(i) in
+  let t = Block.build_oracle ~block ~value ~len in
+  let naive = Naive.build_oracle ~value ~len in
+  let ranges =
+    List.init 200 (fun _ ->
+        let l = Random.State.int rng len in
+        let r =
+          if Random.State.bool rng then l + Random.State.int rng (len - l)
+          else Stdlib.min (len - 1) (l + Random.State.int rng (2 * block))
+        in
+        (l, r))
+  in
+  let answers t = List.map (fun (l, r) -> Block.query t ~l ~r) ranges in
+  let want = List.map (fun (l, r) -> Naive.query naive ~l ~r) ranges in
+  let nblocks = (len + block - 1) / block in
+  let blen b = Stdlib.min len ((b + 1) * block) - (b * block) in
+  let blocks_ok =
+    List.for_all
+      (fun b ->
+        let base = b * block in
+        let decoded = base + Block.signature_argmax t b ~l:0 ~r:(blen b - 1) in
+        decoded = Block.block_argmax t b
+        && decoded = Naive.query naive ~l:base ~r:(base + blen b - 1))
+      (List.init nblocks Fun.id)
+  in
+  let in_block_ok =
+    List.for_all
+      (fun b ->
+        let base = b * block in
+        List.for_all
+          (fun l ->
+            List.for_all
+              (fun r ->
+                let want = Naive.query naive ~l:(base + l) ~r:(base + r) in
+                base + Block.signature_argmax t b ~l ~r = want
+                && Block.query t ~l:(base + l) ~r:(base + r) = want)
+              (List.init (blen b - l) (fun k -> l + k)))
+          (List.init (blen b) Fun.id))
+      (List.init (Stdlib.min 40 nblocks) (fun _ -> Random.State.int rng nblocks))
+  in
+  let reopened =
+    with_tmp (fun path ->
+        let w = S.Writer.create path in
+        Block.save_parts w ~prefix:"rmq" t;
+        S.Writer.close w;
+        answers (Block.open_parts (S.Reader.open_file path) ~prefix:"rmq" ~value))
+  in
+  let rebound = Block.with_oracle t ~value:(fun i -> a.(i)) in
+  blocks_ok && in_block_ok && answers t = want && reopened = want
+  && answers rebound = want
+
+let prop_block_sizes =
+  QCheck2.Test.make ~name:"block RMQ = naive at every block size" ~count:200
+    QCheck2.Gen.(
+      triple (int_range 2 Block.max_block) (map (fun k -> k = 0) (int_bound 9))
+        (int_bound 1_000_000))
+    block_matches_naive
+
 let cases kind =
   let n = Rmq.kind_to_string kind in
   [
@@ -172,16 +252,14 @@ let () =
     [
       ("naive", cases Rmq.Naive);
       ("sparse", cases Rmq.Sparse);
-      ("succinct", cases Rmq.Succinct);
       ("block", cases (Rmq.Block 31));
       ("block-small", cases (Rmq.Block 4));
+      ("block-sizes", [ QCheck_alcotest.to_alcotest prop_block_sizes ]);
       ( "misc",
         [
           Alcotest.test_case "kind strings" `Quick test_kind_strings;
           Alcotest.test_case "block kind strings" `Quick test_block_strings;
           Alcotest.test_case "size accounting" `Quick test_size_words;
-          Alcotest.test_case "succinct large (recursive top)" `Slow
-            test_succinct_large;
           Alcotest.test_case "block large (recursive top)" `Slow
             test_block_large;
         ] );

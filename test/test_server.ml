@@ -1609,6 +1609,23 @@ let test_batched_identity () =
                 [ "\"batches\""; "\"connections_shed\""; "\"cache_shards\"" ]
           | _ -> Alcotest.fail "expected stats reply"))
 
+(* A cold open maps each container once: the container kind is read
+   from the reader the index is opened from. *)
+let test_cache_cold_open_maps_once () =
+  let module Ec = Pti_server.Engine_cache in
+  let _, _, _, _, gpath, lpath = Lazy.force fixture in
+  with_faults (fun () ->
+      List.iter
+        (fun (name, path, listing) ->
+          F.arm "storage.open" F.Noop F.Always;
+          let c = Ec.create ~capacity:4 () in
+          (match Ec.get c path with
+          | Ec.Listing _ -> Alcotest.(check bool) (name ^ " kind") true listing
+          | Ec.General _ -> Alcotest.(check bool) (name ^ " kind") false listing);
+          Alcotest.(check int) (name ^ ": one storage.open") 1
+            (F.hit_count "storage.open"))
+        [ ("general", gpath, false); ("listing", lpath, true) ])
+
 let test_cache_shards () =
   (* the sharded engine cache: a global capacity bound distributed over
      per-worker shards, correct handles from every shard, revalidation
@@ -2541,6 +2558,8 @@ let () =
           Alcotest.test_case "batched replies byte-identical" `Quick
             test_batched_identity;
           Alcotest.test_case "sharded engine cache" `Quick test_cache_shards;
+          Alcotest.test_case "cold open maps a container once" `Quick
+            test_cache_cold_open_maps_once;
           Alcotest.test_case "hit answered while the worker is busy" `Quick
             test_hit_while_worker_busy;
           Alcotest.test_case "slow reader does not stall the loop" `Quick

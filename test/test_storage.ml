@@ -7,8 +7,8 @@
    - minimal-width packing: u8/u16/u32 boundary values and -1
      sentinels through packed views and packed-section corruption;
    - heap-built vs reopened-mmap engines answering byte-identically
-     across the full configuration matrix (metric × range-search ×
-     ladder × rmq kind, with and without correlations), including
+     across the full configuration matrix (metric × backend × ladder,
+     with and without correlations), including
      batched queries on a 4-domain pool;
    - retired formats (ENGINE-2/ENGINE-3 magics, suffix-tree and
      marshalled-FM sections, pre-backend meta) refused with a typed
@@ -407,32 +407,24 @@ let test_roundtrip_matrix () =
       in
       let queries = patterns_for rng u 8 in
       List.iter
-        (fun rmq_kind ->
+        (fun backend ->
           List.iter
-            (fun range_search ->
-              List.iter
-                (fun ladder ->
-                  let config =
-                    { Engine.default_config with rmq_kind; ladder; range_search }
-                  in
-                  let name =
-                    Printf.sprintf "corr=%b rmq=%s rs=%d ladder=%d" correlated
-                      (Pti_rmq.Rmq.kind_to_string rmq_kind)
-                      (match range_search with
-                      | Engine.Rs_binary -> 0
-                      | Engine.Rs_fm -> 1)
-                      (match ladder with
-                      | Engine.Ladder_geometric -> 0
-                      | Engine.Ladder_full -> 1
-                      | Engine.Ladder_none -> 2)
-                  in
-                  let g = G.build ~config ~tau_min:0.1 u in
-                  with_tmp (fun path ->
-                      G.save g path;
-                      check_same_answers name g (G.load path) queries))
-                [ Engine.Ladder_geometric; Engine.Ladder_full; Engine.Ladder_none ])
-            [ Engine.Rs_binary; Engine.Rs_fm ])
-        Pti_rmq.Rmq.all_kinds)
+            (fun ladder ->
+              let config = { Engine.default_config with ladder } in
+              let name =
+                Printf.sprintf "corr=%b backend=%s ladder=%d" correlated
+                  (Engine.backend_to_string backend)
+                  (match ladder with
+                  | Engine.Ladder_geometric -> 0
+                  | Engine.Ladder_full -> 1
+                  | Engine.Ladder_none -> 2)
+              in
+              let g = G.build ~config ~backend ~tau_min:0.1 u in
+              with_tmp (fun path ->
+                  G.save g path;
+                  check_same_answers name g (G.load path) queries))
+            [ Engine.Ladder_geometric; Engine.Ladder_full; Engine.Ladder_none ])
+        [ Engine.Packed; Engine.Succinct ])
     [ false; true ]
 
 (* The succinct backend: built heap-side, saved as FM/wavelet/rank
@@ -541,7 +533,7 @@ let test_roundtrip_listing () =
       List.iter
         (fun relevance ->
           List.iter
-            (fun rmq_kind ->
+            (fun backend ->
               List.iter
                 (fun ladder ->
                   let docs =
@@ -554,7 +546,7 @@ let test_roundtrip_listing () =
                             ~count:2
                         else d)
                   in
-                  let l = L.build ~rmq_kind ~ladder ~relevance ~tau_min:0.1 docs in
+                  let l = L.build ~backend ~ladder ~relevance ~tau_min:0.1 docs in
                   with_tmp (fun path ->
                       L.save l path;
                       let l' = L.load path in
@@ -575,7 +567,7 @@ let test_roundtrip_listing () =
                         then Alcotest.failf "listing mmap twin diverged"
                       done))
                 [ Engine.Ladder_geometric; Engine.Ladder_none ])
-            Pti_rmq.Rmq.all_kinds)
+            [ Engine.Packed; Engine.Succinct ])
         [ L.Rel_max; L.Rel_or ])
     [ false; true ]
 
@@ -675,9 +667,35 @@ let test_retired_magics () =
             (corrupt_section (fun () -> S.Reader.open_file path))))
     [ "PTI-ENGINE-2\n"; "PTI-ENGINE-3\n" ]
 
+(* ENGINE-2 listing files began with an OCaml [Marshal] header (magic
+   0x8495A6BE, or 0x8495A6BF for big values), not with a PTI magic. *)
+let test_retired_marshal_header () =
+  List.iter
+    (fun (name, head) ->
+      with_tmp (fun path ->
+          write_file path (head ^ String.make (16 - String.length head) '\000');
+          Alcotest.(check string) (name ^ " refused") "header" (refusal path)))
+    [
+      ("small marshal header", "\x84\x95\xA6\xBE\x00\x00\x01\x2c");
+      ("big marshal header", "\x84\x95\xA6\xBF\x00\x00\x00\x00");
+    ]
+
+(* A container whose level RMQ is the Fischer–Heun structure (kind tag
+   2), hand-written with valid checksums from a current one, is refused
+   by its RMQ's kind section. *)
+let test_retired_fischer_heun () =
+  let rng = H.rng_of_seed 83 in
+  let docs = List.init 4 (fun _ -> H.random_ustring rng 20 3 2) in
+  let l = L.build ~tau_min:0.1 docs in
+  with_tmp (fun path ->
+      L.save l path;
+      H.rewrite_container ~src:path ~dst:path (H.fischer_heun_kind path);
+      Alcotest.(check string) "tag 2 refused" "rmq.level.1.kind" (refusal path))
+
 (* Engine layouts that are gone: a suffix-tree "st" section, an "fm"
-   Marshal blob, a two-element "meta". The cfg and listing blobs are
-   garbage, so the refusal must come before anything is unmarshalled. *)
+   Marshal blob, a two-element "meta", a marshalled "cfg" record. The
+   cfg and listing blobs are garbage, so the refusal must come before
+   anything is unmarshalled. *)
 let test_retired_engine_layouts () =
   List.iter
     (fun (section, add) ->
@@ -699,6 +717,7 @@ let test_retired_engine_layouts () =
           S.Writer.add_ints w "meta" [| 1; 1; 1 |];
           S.Writer.add_bytes w "fm" "fm index" );
       ("meta", fun w -> S.Writer.add_ints w "meta" [| 1; 1 |]);
+      ("cfg", fun w -> S.Writer.add_ints w "meta" [| 1; 1; 0 |]);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -968,6 +987,10 @@ let () =
         [
           Alcotest.test_case "magics refused up front" `Quick
             test_retired_magics;
+          Alcotest.test_case "marshal headers refused up front" `Quick
+            test_retired_marshal_header;
+          Alcotest.test_case "Fischer-Heun RMQ refused" `Quick
+            test_retired_fischer_heun;
           Alcotest.test_case "engine layouts refused before unmarshalling"
             `Quick test_retired_engine_layouts;
         ] );

@@ -154,8 +154,7 @@ let test_fm_in_engine () =
     let binary = Pti_core.General_index.build ~tau_min:0.1 u in
     let fm =
       Pti_core.General_index.build
-        ~config:{ Pti_core.Engine.default_config with range_search = Pti_core.Engine.Rs_fm }
-        ~tau_min:0.1 u
+        ~backend:Pti_core.Engine.Succinct ~tau_min:0.1 u
     in
     let pat = H.random_pattern rng u 8 in
     let tau = 0.1 +. Random.State.float rng 0.6 in

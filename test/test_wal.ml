@@ -710,6 +710,31 @@ let test_scrub_io_error_counted () =
           Alcotest.(check int) "clean corpus stays clean" 0
             (List.length rep.Store.sc_corrupt)))
 
+(* A segment rewritten as a Fischer–Heun container (RMQ kind tag 2,
+   valid checksums) is a retired format, not damage: scrub leaves it in
+   place and a fresh open refuses it with a hint to rebuild. *)
+let test_scrub_spares_retired_segment () =
+  let docs = docs_of_seed 181 ~n:20 in
+  with_tmpdir (fun dir ->
+      let t = store_with_cuts dir docs ~cuts:2 in
+      let path = Filename.concat dir (List.hd (seg_files dir)) in
+      H.rewrite_container ~src:path ~dst:path (H.fischer_heun_kind path);
+      let rep = Store.scrub t in
+      Alcotest.(check int) "both segments walked" 2 rep.Store.sc_scanned;
+      Alcotest.(check int) "checksums valid" 0 (List.length rep.Store.sc_corrupt);
+      Alcotest.(check int) "nothing quarantined" 0 rep.Store.sc_quarantined;
+      match Store.open_dir ~read_only:true dir with
+      | exception S.Corrupt { section; reason } ->
+          Alcotest.(check string) "kind section named" "rmq.level.1.kind" section;
+          Alcotest.(check bool) ("says to rebuild: " ^ reason) true
+            (let n = String.length "rebuild" in
+             let rec go i =
+               i + n <= String.length reason
+               && (String.sub reason i n = "rebuild" || go (i + 1))
+             in
+             go 0)
+      | _ -> Alcotest.fail "a Fischer-Heun segment was opened")
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -760,5 +785,7 @@ let () =
             test_scrub_read_only_reports;
           Alcotest.test_case "scrub io error counted" `Quick
             test_scrub_io_error_counted;
+          Alcotest.test_case "retired segment refused, not quarantined" `Quick
+            test_scrub_spares_retired_segment;
         ] );
     ]
