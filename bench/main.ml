@@ -460,18 +460,21 @@ let abl_rmq () =
         ranges of 1-4096 entries"
        n m len);
   Printf.printf "%10s %10s %12s %12s\n" "rmq" "build_s" "bytes/elem" "query_us";
-  List.iter
-    (fun kind ->
-      let t, build_s =
-        time (fun () -> Pti_rmq.Rmq.build_oracle kind ~value:(Array.get a) ~len)
-      in
-      let q = per_query (fun (l, r) -> Pti_rmq.Rmq.query t ~l ~r) ranges in
-      Printf.printf "%10s %10.3f %12.2f %12.3f\n"
-        (Pti_rmq.Rmq.kind_to_string kind)
-        build_s
-        (float_of_int (Pti_rmq.Rmq.size_bytes t) /. float_of_int len)
-        (q *. 1e6))
-    Pti_rmq.Rmq.all_kinds
+  let row (type r) name (build : value:(int -> float) -> len:int -> r)
+      (query : r -> l:int -> r:int -> int) (size_bytes : r -> int) =
+    let t, build_s = time (fun () -> build ~value:(Array.get a) ~len) in
+    let q = per_query (fun (l, r) -> query t ~l ~r) ranges in
+    Printf.printf "%10s %10.3f %12.2f %12.3f\n" name build_s
+      (float_of_int (size_bytes t) /. float_of_int len)
+      (q *. 1e6)
+  in
+  let open Pti_rmq in
+  row "naive" Rmq_naive.build_oracle Rmq_naive.query Rmq_naive.size_bytes;
+  row "sparse" Rmq_sparse.build_oracle Rmq_sparse.query Rmq_sparse.size_bytes;
+  row
+    (Printf.sprintf "block:%d" Rmq_block.max_block)
+    (Rmq_block.build_oracle ~block:Rmq_block.max_block)
+    Rmq_block.query Rmq_block.size_bytes
 
 let abl_ladder () =
   let n = 1_500 in

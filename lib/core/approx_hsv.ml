@@ -1,5 +1,4 @@
 module Logp = Pti_prob.Logp
-module Rmq = Pti_rmq.Rmq
 module Sais = Pti_suffix.Sais
 module Lcp = Pti_suffix.Lcp
 module St = Pti_suffix.Suffix_tree

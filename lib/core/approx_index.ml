@@ -1,5 +1,4 @@
 module Logp = Pti_prob.Logp
-module Rmq = Pti_rmq.Rmq
 module Sais = Pti_suffix.Sais
 module Sa_search = Pti_suffix.Sa_search
 module Transform = Pti_transform.Transform

@@ -179,10 +179,12 @@ val stats : t -> string
     of N up to the optional checksum pass. Mapped engines are immutable
     and page-cache-shared, so concurrent domains ({!query_batch}) and
     separate OS processes serving the same file share one physical copy.
-    Only the transform's small metadata record and the source string
-    remain [Marshal] blobs (the source is deserialized
-    lazily, eagerly only for correlated inputs). The LCP array and the
-    per-position logs are construction artefacts and are not saved. *)
+    Every section is typed: scalars are small [ints]/[floats] sections,
+    and the only [bytes] sections are bitmaps and, for a source with
+    correlation rules, its {!Pti_ustring.Ustring.encode} form
+    ([tr.source], decoded at open because corrected window
+    probabilities read it). The LCP array and the per-position logs
+    are construction artefacts and are not saved. *)
 
 val save :
   ?extra:(Pti_storage.Writer.t -> unit) ->
@@ -206,7 +208,8 @@ val open_reader : key_of_pos:(int -> int) -> Pti_storage.Reader.t -> t
 (** {!load} for an already-open container — wrappers use this to read
     their own sections from the same reader. Containers of a retired
     engine layout (a suffix-tree "st" section, a marshalled "fm"
-    FM-index, a two-element "meta", a marshalled "cfg" config, an RMQ
-    other than the signature block RMQ) raise {!Pti_storage.Corrupt}
-    saying to rebuild, the section-level ones before any [Marshal]
-    blob is read. *)
+    FM-index, a two-element "meta", a marshalled "cfg" config, a
+    marshalled transform record in a bytes "tr.meta", an RMQ other
+    than the signature block RMQ) raise {!Pti_storage.Corrupt}
+    saying to rebuild, the section-level ones before any section is
+    decoded. *)

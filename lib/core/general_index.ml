@@ -17,7 +17,6 @@ let count t ~pattern ~tau = Engine.count t.engine ~pattern ~tau
 let stream t ~pattern ~tau = Engine.stream t.engine ~pattern ~tau
 let query_top_k ?max_range t ~pattern ~tau ~k =
   Engine.query_top_k ?max_range t.engine ~pattern ~tau ~k
-let source t = Transform.source (Engine.transform t.engine)
 let tau_min t = Transform.tau_min (Engine.transform t.engine)
 let transform t = Engine.transform t.engine
 let engine t = t.engine

@@ -53,7 +53,6 @@ val query_top_k :
   (int * Logp.t) list
 (** The [k] most probable occurrences above [tau]. *)
 
-val source : t -> Pti_ustring.Ustring.t
 val tau_min : t -> float
 val transform : t -> Pti_transform.Transform.t
 val engine : t -> Engine.t

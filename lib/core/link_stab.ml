@@ -1,5 +1,5 @@
 module Logp = Pti_prob.Logp
-module Rmq = Pti_rmq.Rmq
+module Rmq = Pti_rmq.Rmq_sparse
 
 type link = {
   lo : int;
@@ -73,7 +73,7 @@ let build links =
         | _ ->
             let lks = Array.of_list bucket in
             Array.sort (fun a b -> compare (a.lo, a.hi) (b.lo, b.hi)) lks;
-            let rmq = Rmq.build Sparse (Array.map (fun l -> l.value) lks) in
+            let rmq = Rmq.build (Array.map (fun l -> l.value) lks) in
             Some { lks; rmq })
       buckets
   in

@@ -8,9 +8,11 @@ type relevance = Rel_max | Rel_or
 
 type t = {
   engine : Engine.t;
-  docs : Ustring.t array Lazy.t;
-      (* lazy so opening a mapped index does not deserialize the
-         document blobs until a caller actually asks for one *)
+  doc_of : S.ints; (* original position -> document id, -1 at separators *)
+  doc_offsets : S.ints; (* n_docs + 1 ascending byte offsets into [docs] *)
+  docs : string Lazy.t;
+      (* the documents' [Ustring.encode] forms back to back; mapped
+         ones are copied (and checksummed) on the first [doc] call *)
   n_docs : int;
   relevance : relevance;
 }
@@ -27,7 +29,6 @@ let build ?(ladder = Engine.Ladder_geometric)
   let total = Ustring.length concatenated in
   (* Map original (concatenated) positions to document ids. *)
   let doc_of = Array.make total (-1) in
-  let n_docs = Array.length starts in
   List.iteri
     (fun k d ->
       let s = starts.(k) in
@@ -35,7 +36,6 @@ let build ?(ladder = Engine.Ladder_geometric)
         doc_of.(i) <- k
       done)
     docs;
-  ignore n_docs;
   let tr = Transform.build ?max_text_len ~tau_min concatenated in
   let metric =
     match relevance with Rel_max -> Engine.Max | Rel_or -> Engine.Or_metric
@@ -44,11 +44,29 @@ let build ?(ladder = Engine.Ladder_geometric)
   let engine =
     Engine.build ~config ?backend ?domains ~key_of_pos:(fun p -> doc_of.(p)) tr
   in
-  let docs = Array.of_list docs in
-  { engine; docs = Lazy.from_val docs; n_docs = Array.length docs; relevance }
+  let enc = List.map Ustring.encode docs in
+  let offsets = Array.make (List.length docs + 1) 0 in
+  List.iteri (fun k e -> offsets.(k + 1) <- offsets.(k) + String.length e) enc;
+  {
+    engine;
+    doc_of = S.Ints.of_array doc_of;
+    doc_offsets = S.Ints.of_array offsets;
+    docs = Lazy.from_val (String.concat "" enc);
+    n_docs = List.length docs;
+    relevance;
+  }
 
 let n_docs t = t.n_docs
-let doc t k = (Lazy.force t.docs).(k)
+let doc t k =
+  if k < 0 || k >= t.n_docs then invalid_arg "Listing_index.doc";
+  let off = S.Ints.get t.doc_offsets k in
+  let len = S.Ints.get t.doc_offsets (k + 1) - off in
+  (* damaged offsets fail [String.sub], a damaged encoding [decode] *)
+  match Ustring.decode (String.sub (Lazy.force t.docs) off len) with
+  | u -> u
+  | exception Invalid_argument reason ->
+      raise (S.Corrupt { section = "listing.docs"; reason })
+
 let query ?max_range t ~pattern ~tau = Engine.query ?max_range t.engine ~pattern ~tau
 let query_batch ?domains t ~patterns = Engine.query_batch ?domains t.engine ~patterns
 let query_string t ~pattern ~tau = query t ~pattern:(Sym.of_string pattern) ~tau
@@ -61,48 +79,45 @@ let engine t = t.engine
 let size_words t = Engine.size_words t.engine
 let size_bytes t = Engine.size_bytes t.engine
 
-(* The engine's key function maps original (concatenated) positions to
-   document ids; it is reconstructed from the persisted documents. *)
-let doc_map docs =
-  let total =
-    Array.fold_left (fun acc d -> acc + Ustring.length d) 0 docs
-    + Stdlib.max 0 (Array.length docs - 1)
-  in
-  let doc_of = Array.make total (-1) in
-  let off = ref 0 in
-  Array.iteri
-    (fun k d ->
-      if k > 0 then incr off (* separator *);
-      for _ = 1 to Ustring.length d do
-        doc_of.(!off) <- k;
-        incr off
-      done)
-    docs;
-  doc_of
+let relevance_tag = function Rel_max -> 0 | Rel_or -> 1
 
-(* Listing-owned sections of the engine container: the relevance metric
-   and document count ("listing.meta"), the original-position → document
-   map ("listing.doc_of", read zero-copy to rebuild [key_of_pos]), and
-   the documents themselves as a lazily-deserialized blob
-   ("listing.docs"). *)
+let relevance_of_tag = function
+  | 0 -> Some Rel_max
+  | 1 -> Some Rel_or
+  | _ -> None
+
+(* Listing-owned sections of the engine container: "listing.meta"
+   (relevance tag, document count), "listing.doc_of" (original position
+   -> document, read zero-copy as the engine's [key_of_pos]) and the
+   documents: their [Ustring.encode] forms back to back in
+   "listing.docs", delimited by "listing.doc_offsets" (n_docs + 1
+   ascending byte offsets). *)
 let save ?(extra = fun (_ : S.Writer.t) -> ()) t path =
-  let docs = Lazy.force t.docs in
   Engine.save t.engine path ~extra:(fun w ->
-      S.Writer.add_bytes w "listing.meta"
-        (Marshal.to_string (t.relevance, t.n_docs) []);
-      S.Writer.add_ints w "listing.doc_of" (doc_map docs);
-      S.Writer.add_bytes w "listing.docs" (Marshal.to_string docs []);
+      S.Writer.add_ints w "listing.meta" [| relevance_tag t.relevance; t.n_docs |];
+      S.Writer.add_ints_ba w "listing.doc_of" t.doc_of;
+      S.Writer.add_bytes w "listing.docs" (Lazy.force t.docs);
+      S.Writer.add_ints_ba w "listing.doc_offsets" t.doc_offsets;
       extra w)
 
 (* The engine is opened first, so a retired engine layout is refused
-   before any listing blob is unmarshalled. *)
+   before any listing section is read; a bytes "listing.meta" is the
+   marshalled pair of earlier layouts. *)
 let open_reader r =
   let doc_of = S.Reader.ints r "listing.doc_of" in
   let engine = Engine.open_reader ~key_of_pos:(S.Ints.get doc_of) r in
-  let relevance, n_docs =
-    (Marshal.from_string (S.Reader.blob r "listing.meta") 0 : relevance * int)
-  in
-  let docs = lazy (Marshal.from_string (S.Reader.blob r "listing.docs") 0) in
-  { engine; docs; n_docs; relevance }
+  if S.Reader.kind r "listing.meta" = Some "bytes" then
+    S.retired "listing.meta" "a listing with marshalled metadata";
+  let doc_offsets = S.Reader.ints r "listing.doc_offsets" in
+  let n_docs = S.Ints.length doc_offsets - 1 in
+  match S.Ints.to_array (S.Reader.ints r "listing.meta") with
+  | [| tag; n |] when n = n_docs && relevance_of_tag tag <> None ->
+      let docs = lazy (S.Reader.blob r "listing.docs") in
+      let relevance = Option.get (relevance_of_tag tag) in
+      { engine; doc_of; doc_offsets; docs; n_docs; relevance }
+  | _ ->
+      raise
+        (S.Corrupt
+           { section = "listing.meta"; reason = "bad relevance tag or document count" })
 
 let load ?verify path = open_reader (S.Reader.open_file ?verify path)

@@ -74,6 +74,11 @@ val query_top_k :
 (** The [k] most relevant documents above [tau]. *)
 
 val relevance : t -> relevance
+
+val relevance_tag : relevance -> int
+(** The persisted code: 0 = [Rel_max], 1 = [Rel_or]. *)
+
+val relevance_of_tag : int -> relevance option
 val engine : t -> Engine.t
 val size_words : t -> int
 
@@ -87,14 +92,16 @@ val save :
   unit
 (** Persist the index (documents, relevance metric, position→document
     map and engine data) into one "PTI-ENGINE-4" container; see
-    {!Engine.save}. [?extra] appends caller-owned sections after the
-    listing's own (the segment store records its slot → document-id
-    map this way). *)
+    {!Engine.save}; documents are stored in
+    {!Pti_ustring.Ustring.encode} form. [?extra] appends caller-owned
+    sections after the listing's own (the segment store records its
+    slot → document-id map this way). *)
 
 val load : ?verify:bool -> string -> t
-(** Open a saved index: the container is memory-mapped, with the
-    documents deserialized lazily on first {!doc} access. See
-    {!Engine.load}. *)
+(** Open a saved index: the container is memory-mapped, and {!doc}
+    decodes one document on demand (raising {!Pti_storage.Corrupt} if
+    it does not decode). A bytes [listing.meta] (the marshalled pair of
+    earlier layouts) is refused as a retired format. See {!Engine.load}. *)
 
 val open_reader : Pti_storage.Reader.t -> t
 (** {!load} for an already-open container. *)

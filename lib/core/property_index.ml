@@ -1,5 +1,5 @@
 module Logp = Pti_prob.Logp
-module Rmq = Pti_rmq.Rmq
+module Rmq = Pti_rmq.Rmq_block
 module Sais = Pti_suffix.Sais
 module Sa_search = Pti_suffix.Sa_search
 module Transform = Pti_transform.Transform
@@ -28,11 +28,7 @@ type t = {
 let pi_by_position tr ~tau_c ~pos n =
   let flen = Transform.factor_suffix_lengths tr in
   let ltau = Logp.of_prob tau_c in
-  let correlated =
-    not
-      (Pti_ustring.Correlation.is_empty
-         (Pti_ustring.Ustring.correlations (Transform.source tr)))
-  in
+  let correlated = Transform.has_correlations tr in
   let pi = Array.make n 0 in
   for a = 0 to n - 1 do
     if pos.(a) >= 0 then begin
@@ -75,7 +71,7 @@ let build ?max_text_len ~tau_c u =
   let pi_pos = pi_by_position tr ~tau_c ~pos n in
   let pi = Array.init n (fun j -> pi_pos.(sa.(j))) in
   let rmq =
-    Rmq.build_oracle (Block Pti_rmq.Rmq_block.max_block)
+    Rmq.build_oracle ~block:Rmq.max_block
       ~value:(fun j -> float_of_int pi.(j))
       ~len:n
   in

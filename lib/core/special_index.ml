@@ -16,7 +16,6 @@ let query_string t ~pattern ~tau = query t ~pattern:(Sym.of_string pattern) ~tau
 let count t ~pattern ~tau = Engine.count t.engine ~pattern ~tau
 let stream t ~pattern ~tau = Engine.stream t.engine ~pattern ~tau
 let query_top_k t ~pattern ~tau ~k = Engine.query_top_k t.engine ~pattern ~tau ~k
-let source t = Transform.source (Engine.transform t.engine)
 let engine t = t.engine
 let size_words t = Engine.size_words t.engine
 let size_bytes t = Engine.size_bytes t.engine

@@ -40,7 +40,6 @@ val query_top_k :
   t -> pattern:Pti_ustring.Sym.t array -> tau:float -> k:int ->
   (int * Logp.t) list
 
-val source : t -> Pti_ustring.Ustring.t
 val engine : t -> Engine.t
 val size_words : t -> int
 

@@ -29,10 +29,6 @@ let div a b =
   else if a = neg_infinity then neg_infinity
   else a -. b
 
-let div_exceeding_one a b =
-  if b = neg_infinity then invalid_arg "Logp.div_exceeding_one: zero divisor"
-  else a -. b
-
 let compare = Float.compare
 let equal = Float.equal
 let ( >= ) (a : t) (b : t) = a >= b

@@ -43,11 +43,6 @@ val div : t -> t -> t
     probability 1 transiently (ratios of prefix products are clamped by
     callers when needed). *)
 
-val div_exceeding_one : t -> t -> float
-(** Like {!div} but returns the raw log, allowed to be positive. Used by
-    correlation corrections where an intermediate ratio is not itself a
-    probability. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( >= ) : t -> t -> bool

@@ -237,8 +237,6 @@ let rec with_oracle t ~value =
   { t with value; top }
 
 let length t = t.len
-let block_size t = t.block
-
 let rec query t ~l ~r =
   if l < 0 || r >= t.len || l > r then
     invalid_arg

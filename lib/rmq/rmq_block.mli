@@ -36,7 +36,6 @@ val with_oracle : t -> value:(int -> float) -> t
     keep oracle. *)
 
 val length : t -> int
-val block_size : t -> int
 
 val query : t -> l:int -> r:int -> int
 (** Leftmost index of the maximum in the inclusive range [\[l, r\]].

@@ -71,7 +71,6 @@
 
 module Logp = Pti_prob.Logp
 module U = Pti_ustring.Ustring
-module Sym = Pti_ustring.Sym
 module L = Pti_core.Listing_index
 module Engine = Pti_core.Engine
 module S = Pti_storage
@@ -176,25 +175,21 @@ let quarantine_dir_name = "quarantine"
 let manifest_path dir = Filename.concat dir manifest_name
 let seg_path t name = Filename.concat t.dir name
 let seg_file_name seq = Printf.sprintf "seg-%06d.pti" seq
-
-(* [Some seq] iff [name] is a well-formed segment file name. *)
-let seg_file_seq name =
-  if
-    String.length name > 4
-    && String.sub name 0 4 = "seg-"
-    && Filename.check_suffix name ".pti"
-  then int_of_string_opt (String.sub name 4 (String.length name - 8))
-  else None
-
 let wal_file_name seq = Printf.sprintf "wal-%06d.log" seq
 
+(* [Some seq] iff [name] is exactly [seg_file_name seq] (or
+   [wal_file_name seq]): the round trip is what makes the match strict,
+   since "%d" also reads "+3", "-1" or "1_0", and compaction's orphan
+   sweep would unlink a user's "seg-+3.pti". *)
+let seg_file_seq name =
+  match Scanf.sscanf_opt name "seg-%d.pti%!" Fun.id with
+  | Some seq when seq >= 0 && seg_file_name seq = name -> Some seq
+  | _ -> None
+
 let wal_file_seq name =
-  if
-    String.length name > 4
-    && String.sub name 0 4 = "wal-"
-    && Filename.check_suffix name ".log"
-  then int_of_string_opt (String.sub name 4 (String.length name - 8))
-  else None
+  match Scanf.sscanf_opt name "wal-%d.log%!" Fun.id with
+  | Some seq when seq >= 0 && wal_file_name seq = name -> Some seq
+  | _ -> None
 
 let wal_path dir seq = Filename.concat dir (wal_file_name seq)
 
@@ -209,10 +204,6 @@ let wal_files dir =
 let dir t = t.dir
 let generation t = Atomic.get t.generation
 let version t = Atomic.get t.vversion
-
-let is_corpus_dir d =
-  (try Sys.is_directory d with Sys_error _ -> false)
-  && Sys.file_exists (manifest_path d)
 
 let locked t f =
   Mutex.lock t.m;
@@ -238,19 +229,48 @@ let with_dir_lock dir f =
       f ())
 
 (* ------------------------------------------------------------------ *)
-(* Write-ahead log records. One marshalled [wal_op] per framed record
-   (Pti_storage.Wal does the length + checksum framing). W_seal is a
-   marker only — the seal's durability is its manifest commit — but
-   having every mutation leave a record makes the log a complete,
-   ordered account of the write path for forensics and tests. *)
+(* Write-ahead log records. One [wal_op] per framed record
+   (Pti_storage.Wal does the length + checksum framing): a tag byte
+   ('I' insert, 'D' delete, 'S' seal), the document id or generation as
+   an 8-byte little-endian int, and for an insert the document in
+   [Ustring.encode] form. W_seal is a marker only — the seal's
+   durability is its manifest commit — but having every mutation leave
+   a record makes the log a complete, ordered account of the write
+   path for forensics and tests. *)
 
 type wal_op = W_insert of int * U.t | W_delete of int | W_seal of int
 
-let wal_encode (op : wal_op) = Marshal.to_string op []
+let wal_encode op =
+  let tag, v, doc =
+    match op with
+    | W_insert (id, u) -> ('I', id, U.encode u)
+    | W_delete id -> ('D', id, "")
+    | W_seal gen -> ('S', gen, "")
+  in
+  let b = Buffer.create (9 + String.length doc) in
+  Buffer.add_char b tag;
+  Buffer.add_int64_le b (Int64.of_int v);
+  Buffer.add_string b doc;
+  Buffer.contents b
 
-(* Checksum-verified payloads only (Wal.scan rejects damaged records),
-   so Marshal cannot read garbage. *)
-let wal_decode s : wal_op = Marshal.from_string s 0
+let wal_decode s =
+  let bad reason = raise (S.Corrupt { section = "wal"; reason }) in
+  let len = String.length s in
+  (* 0x84 opens every OCaml Marshal header, the record format of
+     earlier logs; no tag byte takes that value *)
+  if len > 0 && s.[0] = '\x84' then S.retired "wal" "a log of marshalled records";
+  if len < 9 then bad "record shorter than its header";
+  let v = Int64.to_int (String.get_int64_le s 1) in
+  if v < 0 then bad "negative id";
+  match s.[0] with
+  | 'I' -> (
+      match U.decode (String.sub s 9 (len - 9)) with
+      | u when U.length u > 0 -> W_insert (v, u)
+      | _ -> bad "empty document"
+      | exception Invalid_argument reason -> bad reason)
+  | 'D' when len = 9 -> W_delete v
+  | 'S' when len = 9 -> W_seal v
+  | _ -> bad "unknown record tag or trailing bytes"
 
 (* Caller holds [t.m]: the record lands in the log in exactly the
    order the memtable mutation becomes visible. An exception here
@@ -318,50 +338,42 @@ let popcount b n =
   !c
 
 (* ------------------------------------------------------------------ *)
-(* Manifest: a small PTI-ENGINE-4 container, one per commit. Sections:
-     corpus.meta     ints  [| format; generation; next_doc_id; seg_seq |]
-     corpus.config   bytes (tau_min, relevance, backend tag, thresholds)
-     corpus.segments bytes (marshalled segment file-name array)
-     corpus.counts   ints  (documents per segment)
-     corpus.tombs.<i> bits (per-segment tombstone bitmap)
+(* Manifest: a small PTI-ENGINE-4 container, one per commit, every
+   section typed. Segment files are named by their sequence number
+   ([seg_file_name]), so the manifest stores numbers:
+     corpus.meta       ints   [| format; generation; next_doc_id; seg_seq |]
+     corpus.quarantine ints   scrub-evicted segments (only when non-empty)
+     corpus.config     ints   [| relevance; backend; memtable_max_docs;
+                                 compact_min_segments |]
+     corpus.tau_min    floats [| tau_min |]
+     corpus.segments   ints   segment sequence numbers, manifest order
+     corpus.counts     ints   documents per segment
+     corpus.tombs.<i>  bits   per-segment tombstone bitmap
    Writing it through Pti_storage.Writer buys checksums, typed Corrupt
-   rejection and the crash-safe rename for free. *)
+   rejection and the crash-safe rename for free. Format 1 held
+   marshalled config, segment and quarantine blobs; it is refused. *)
 
-let manifest_format = 1
+let manifest_format = 2
 
 let backend_tag = function Engine.Packed -> 0 | Engine.Succinct -> 1
-let backend_of_tag = function
-  | 0 -> Engine.Packed
-  | 1 -> Engine.Succinct
-  | n ->
-      raise
-        (S.Corrupt
-           {
-             section = "corpus.config";
-             reason = Printf.sprintf "unknown backend tag %d" n;
-           })
 
 (* raises on any write/fsync/rename fault with the destination
    manifest untouched *)
 let write_manifest ~dir ~cfg ~gen ~next_doc_id ~seg_seq ~quarantined ~segs =
   let w = S.Writer.create (manifest_path dir) in
+  (* every segment file is named [seg_file_name seq] *)
+  let seqs names = Array.of_list (List.map (fun n -> Option.get (seg_file_seq n)) names) in
   S.Writer.add_ints w "corpus.meta" [| manifest_format; gen; next_doc_id; seg_seq |];
-  (* scrubber evictions: names of segment files moved to quarantine/.
-     Written only when non-empty so older readers (and golden fixtures)
-     see an unchanged section set on healthy corpora. *)
-  if quarantined <> [] then
-    S.Writer.add_bytes w "corpus.quarantine"
-      (Marshal.to_string (Array.of_list (quarantined : string list)) []);
-  S.Writer.add_bytes w "corpus.config"
-    (Marshal.to_string
-       ( cfg.tau_min,
-         cfg.relevance,
-         backend_tag cfg.backend,
-         cfg.memtable_max_docs,
-         cfg.compact_min_segments )
-       []);
-  S.Writer.add_bytes w "corpus.segments"
-    (Marshal.to_string (Array.of_list (List.map (fun s -> s.sg_name) segs)) []);
+  if quarantined <> [] then S.Writer.add_ints w "corpus.quarantine" (seqs quarantined);
+  S.Writer.add_ints w "corpus.config"
+    [|
+      L.relevance_tag cfg.relevance;
+      backend_tag cfg.backend;
+      cfg.memtable_max_docs;
+      cfg.compact_min_segments;
+    |];
+  S.Writer.add_floats w "corpus.tau_min" [| cfg.tau_min |];
+  S.Writer.add_ints w "corpus.segments" (seqs (List.map (fun s -> s.sg_name) segs));
   S.Writer.add_ints w "corpus.counts"
     (Array.of_list (List.map (fun s -> s.sg_n) segs));
   List.iteri
@@ -385,53 +397,62 @@ let corrupt section reason = raise (S.Corrupt { section; reason })
 
 let read_manifest ?(verify = true) dir =
   let r = S.Reader.open_file ~verify (manifest_path dir) in
-  let meta = S.Reader.ints r "corpus.meta" in
-  if S.Ints.length meta < 4 then corrupt "corpus.meta" "short meta section";
-  if S.Ints.get meta 0 <> manifest_format then
-    corrupt "corpus.meta"
-      (Printf.sprintf "unsupported manifest format %d" (S.Ints.get meta 0));
-  let tau_min, relevance, btag, mem_max, compact_min =
-    (Marshal.from_string (S.Reader.blob r "corpus.config") 0
-      : float * L.relevance * int * int * int)
+  let ints ?arity ?(min = min_int) section =
+    let a = S.Ints.to_array (S.Reader.ints r section) in
+    if Option.fold ~none:false ~some:(( <> ) (Array.length a)) arity then
+      corrupt section "wrong arity";
+    if Array.exists (fun v -> v < min) a then corrupt section "value out of range";
+    a
   in
-  let names =
-    (Marshal.from_string (S.Reader.blob r "corpus.segments") 0 : string array)
+  let meta = ints ~arity:4 ~min:0 "corpus.meta" in
+  if meta.(0) = 1 then
+    S.retired "corpus.meta" "a format-1 manifest (marshalled sections)";
+  if meta.(0) <> manifest_format then
+    corrupt "corpus.meta" (Printf.sprintf "unsupported manifest format %d" meta.(0));
+  let config = ints ~arity:4 "corpus.config" in
+  let relevance =
+    match L.relevance_of_tag config.(0) with
+    | Some rel -> rel
+    | None -> corrupt "corpus.config" "unknown relevance tag"
   in
-  let counts = S.Reader.ints r "corpus.counts" in
-  if S.Ints.length counts <> Array.length names then
-    corrupt "corpus.counts" "segment count mismatch";
+  let backend =
+    match config.(1) with
+    | 0 -> Engine.Packed
+    | 1 -> Engine.Succinct
+    | n -> corrupt "corpus.config" (Printf.sprintf "unknown backend tag %d" n)
+  in
+  let tau = S.Reader.floats r "corpus.tau_min" in
+  let tau_min = if S.Floats.length tau = 1 then S.Floats.get tau 0 else nan in
+  if not (tau_min > 0.0 && tau_min < 1.0) then
+    corrupt "corpus.tau_min" "expected one tau_min in (0, 1)";
+  let names section = Array.to_list (Array.map seg_file_name (ints ~min:0 section)) in
+  let segments = names "corpus.segments" in
+  let counts = ints ~arity:(List.length segments) ~min:0 "corpus.counts" in
   let segs =
-    List.init (Array.length names) (fun i ->
-        let n = S.Ints.get counts i in
-        let bits = S.Reader.bits r (Printf.sprintf "corpus.tombs.%d" i) in
-        let b = S.Bits.to_bytes bits in
-        if Bytes.length b < bitmap_len n then
-          corrupt
-            (Printf.sprintf "corpus.tombs.%d" i)
-            "tombstone bitmap shorter than segment";
-        (names.(i), n, b))
-  in
-  let quarantine =
-    if S.Reader.has r "corpus.quarantine" then
-      Array.to_list
-        (Marshal.from_string (S.Reader.blob r "corpus.quarantine") 0
-          : string array)
-    else []
+    List.mapi
+      (fun i name ->
+        let section = Printf.sprintf "corpus.tombs.%d" i in
+        let b = S.Bits.to_bytes (S.Reader.bits r section) in
+        if Bytes.length b < bitmap_len counts.(i) then
+          corrupt section "tombstone bitmap shorter than segment";
+        (name, counts.(i), b))
+      segments
   in
   {
-    mf_gen = S.Ints.get meta 1;
-    mf_next_doc_id = S.Ints.get meta 2;
-    mf_seg_seq = S.Ints.get meta 3;
+    mf_gen = meta.(1);
+    mf_next_doc_id = meta.(2);
+    mf_seg_seq = meta.(3);
     mf_cfg =
       {
         tau_min;
         relevance;
-        backend = backend_of_tag btag;
-        memtable_max_docs = mem_max;
-        compact_min_segments = compact_min;
+        backend;
+        memtable_max_docs = config.(2);
+        compact_min_segments = config.(3);
       };
     mf_segs = segs;
-    mf_quarantine = quarantine;
+    mf_quarantine =
+      (if S.Reader.has r "corpus.quarantine" then names "corpus.quarantine" else []);
   }
 
 (* The generation currently committed on disk; [~verify:false] checks
@@ -604,19 +625,14 @@ let recover_wal t =
       with_dir_lock t.dir (fun () ->
           let seq = max_seq + 1 in
           let w = S.Wal.open_writer (wal_path t.dir seq) in
-          List.iter
-            (fun (id, u) -> S.Wal.append w (wal_encode (W_insert (id, u))))
-            (List.rev t.mem);
+          let records = List.rev_map (fun (id, u) -> wal_encode (W_insert (id, u))) t.mem in
+          List.iter (S.Wal.append w) records;
           S.Wal.sync w;
           t.wal <- Some w;
           t.wal_seq <- seq;
-          t.wal_records <- List.length t.mem;
+          t.wal_records <- List.length records;
           t.wal_bytes <-
-            List.fold_left
-              (fun a (id, u) ->
-                a + S.Wal.header_bytes
-                + String.length (wal_encode (W_insert (id, u))))
-              0 t.mem;
+            List.fold_left (fun a r -> a + S.Wal.header_bytes + String.length r) 0 records;
           List.iter (fun (s, _) -> S.Wal.remove (wal_path t.dir s)) files)
     else begin
       let seq = Stdlib.max max_seq 0 in
@@ -1350,7 +1366,3 @@ let scrub ?(budget_mb_s = 0.0) t =
     sc_quarantined = quarantined;
     sc_io_errors = !io_errors;
   }
-
-(* referenced below to keep Sym in the interface's type expressions
-   without an unused-module warning under strict flags *)
-let _ = (fun (p : Sym.t array) -> p)

@@ -133,7 +133,10 @@ val open_dir :
 
     Raises [Sys_error] if there is no manifest,
     [Pti_storage.Corrupt] if the manifest, a referenced segment or the
-    middle of a WAL file is damaged. *)
+    middle of a WAL file is damaged or a WAL record does not decode. A
+    format-1 manifest or a log of marshalled records (the encodings of
+    earlier corpora) is refused as a retired format before anything
+    else is read from it. *)
 
 val dir : t -> string
 
@@ -282,5 +285,17 @@ val lock_name : string
     [lockf] lock on (created on first commit; its contents are
     meaningless). *)
 
-val is_corpus_dir : string -> bool
-(** [dir] exists and holds a manifest. *)
+(** The write-ahead-log record codec, exposed for tests: a tag byte,
+    an 8-byte little-endian id (a seal's: the generation it commits)
+    and, for an insert, the document's {!Pti_ustring.Ustring.encode}. *)
+
+type wal_op =
+  | W_insert of int * Pti_ustring.Ustring.t
+  | W_delete of int
+  | W_seal of int
+
+val wal_encode : wal_op -> string
+
+val wal_decode : string -> wal_op
+(** Raises [Pti_storage.Corrupt] ([section = "wal"]) on a payload
+    {!wal_encode} cannot produce (a marshalled one as retired). *)

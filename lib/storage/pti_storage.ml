@@ -683,6 +683,9 @@ module Reader = struct
 
   let path r = r.r_path
   let has r name = Hashtbl.mem r.tbl name
+
+  let kind r name =
+    Option.map (fun s -> kind_name s.s_kind) (Hashtbl.find_opt r.tbl name)
   let sections r = r.order
 
   let find r name =
@@ -801,8 +804,6 @@ module Wal = struct
         0o644
     in
     { w_fd = fd; w_path = path }
-
-  let writer_path w = w.w_path
 
   (* Write the whole record with one buffer so an O_APPEND append is a
      single write(2) in the common case; retry EINTR and continue

@@ -171,12 +171,16 @@ module Reader : sig
       (default [true]) every section's checksum is verified eagerly —
       one sequential pass over the mapping; with [~verify:false] only
       the envelope is checked and array sections are trusted (blob
-      sections are still verified lazily before deserialization, so a
-      corrupt file can produce wrong query answers but never undefined
-      behaviour). *)
+      sections are still verified before a decoder sees them, and
+      decoders validate, so a corrupt file can produce wrong query
+      answers but never undefined behaviour). *)
 
   val path : t -> string
   val has : t -> string -> bool
+
+  val kind : t -> string -> string option
+  (** The section's kind ("ints" / "floats" / "bytes"), [None] if it is
+      missing — how a reader spots a retired layout before decoding. *)
 
   val sections : t -> string list
   (** Section names in file order. *)
@@ -191,7 +195,8 @@ module Reader : sig
 
   val blob : t -> string -> string
   (** Copy of a bytes section, checksum-verified first even when the
-      reader was opened with [~verify:false] (blobs feed [Marshal]). *)
+      reader was opened with [~verify:false]: blobs go to decoders,
+      which validate what they read. *)
 
   type section_info = {
     si_name : string;
@@ -231,8 +236,6 @@ module Wal : sig
 
   val open_writer : string -> writer
   (** Open (creating if missing) for appends. *)
-
-  val writer_path : writer -> string
 
   val append : writer -> string -> unit
   (** Append one record. EINTR and short writes are retried to

@@ -40,20 +40,17 @@ module Fvec = struct
 end
 
 type t = {
-  source : Ustring.t Lazy.t;
-      (* lazy so that a mapped index can answer correlation-free queries
-         without ever deserializing the source string's Marshal blob *)
+  correlated : Ustring.t option;
+      (* the source string, kept only when it carries correlation rules:
+         [window_logp_corrected] reads its rules and marginals, and
+         [None] lets that hot path skip the correlation machinery *)
+  source_length : int;
   tau_min : float;
   text : S.ints;
   pos : S.ints;
   parray : Parray.t;
   n_factors : int;
   n_skipped : int;
-  has_correlations : bool;
-      (* cached [not (Correlation.is_empty (Ustring.correlations source))]:
-         [window_logp_corrected] is called O(N log N) times during index
-         construction and must not pay the correlation lookup when the
-         rule set is empty *)
 }
 
 (* An emitted factor: start position in the source and its symbols. *)
@@ -68,6 +65,9 @@ let choice_upper_bound corr ~pos (c : Ustring.choice) =
   match Correlation.find corr ~dep_pos:pos ~dep_sym:c.sym with
   | None -> c.prob
   | Some r -> Float.max c.prob (Float.max r.p_present r.p_absent)
+
+let correlated u =
+  if Correlation.is_empty (Ustring.correlations u) then None else Some u
 
 let build ?max_text_len ~tau_min u =
   if tau_min <= 0.0 || tau_min > 1.0 then
@@ -179,14 +179,14 @@ let build ?max_text_len ~tau_min u =
   let logs = Fvec.to_array logs in
   let parray = Parray.of_logps (Array.map Logp.of_log logs) in
   {
-    source = Lazy.from_val u;
+    correlated = correlated u;
+    source_length = n;
     tau_min;
     text = S.Ints.of_array text;
     pos = S.Ints.of_array pos;
     parray;
     n_factors = !n_factors;
     n_skipped = !n_skipped;
-    has_correlations = not (Correlation.is_empty corr);
   }
 
 let identity u =
@@ -201,17 +201,16 @@ let identity u =
     logs.(i) <- Logp.of_prob c.prob
   done;
   {
-    source = Lazy.from_val u;
+    correlated = correlated u;
+    source_length = n;
     tau_min = 0.0;
     text = S.Ints.of_array text;
     pos = S.Ints.of_array (Array.init n (fun i -> i));
     parray = Parray.of_logps logs;
     n_factors = 1;
     n_skipped = 0;
-    has_correlations = not (Correlation.is_empty (Ustring.correlations u));
   }
 
-let source t = Lazy.force t.source
 let tau_min t = t.tau_min
 let text t = S.Ints.to_array t.text
 let text_storage t = t.text
@@ -223,42 +222,41 @@ let parray t = t.parray
 
 let window_logp t ~pos ~len = Parray.window t.parray ~pos ~len
 
-let has_correlations t = t.has_correlations
+let has_correlations t = Option.is_some t.correlated
 
 let window_logp_corrected t ~pos:a ~len =
-  if not t.has_correlations then window_logp t ~pos:a ~len
-  else begin
-    let base = window_logp t ~pos:a ~len in
-    if Logp.is_zero base then base
-    else begin
-      let src = Lazy.force t.source in
-      let corr = Ustring.correlations src in
-      let orig = S.Ints.get t.pos a in
-      let rules = Correlation.affecting_window corr ~pos:orig ~len in
-      let adjust acc (r : Correlation.rule) =
-        if r.src_pos >= orig && r.src_pos < orig + len then begin
-          (* Source inside the window: replace the dependent character's
-             marginal with the conditional chosen by the window content. *)
-          let dep_sym_actual = S.Ints.get t.text (a + (r.dep_pos - orig)) in
-          if dep_sym_actual <> r.dep_sym then acc
-          else begin
-            let src_sym_actual = S.Ints.get t.text (a + (r.src_pos - orig)) in
-            let cond =
-              if src_sym_actual = r.src_sym then r.p_present else r.p_absent
-            in
-            if cond <= 0.0 then neg_infinity
+  match t.correlated with
+  | None -> window_logp t ~pos:a ~len
+  | Some src ->
+      let base = window_logp t ~pos:a ~len in
+      if Logp.is_zero base then base
+      else begin
+        let corr = Ustring.correlations src in
+        let orig = S.Ints.get t.pos a in
+        let rules = Correlation.affecting_window corr ~pos:orig ~len in
+        let adjust acc (r : Correlation.rule) =
+          if r.src_pos >= orig && r.src_pos < orig + len then begin
+            (* Source inside the window: replace the dependent character's
+               marginal with the conditional chosen by the window content. *)
+            let dep_sym_actual = S.Ints.get t.text (a + (r.dep_pos - orig)) in
+            if dep_sym_actual <> r.dep_sym then acc
             else begin
-              let marg = Ustring.prob src ~pos:r.dep_pos ~sym:r.dep_sym in
-              acc -. log marg +. log cond
+              let src_sym_actual = S.Ints.get t.text (a + (r.src_pos - orig)) in
+              let cond =
+                if src_sym_actual = r.src_sym then r.p_present else r.p_absent
+              in
+              if cond <= 0.0 then neg_infinity
+              else begin
+                let marg = Ustring.prob src ~pos:r.dep_pos ~sym:r.dep_sym in
+                acc -. log marg +. log cond
+              end
             end
           end
-        end
-        else acc (* source outside: the stored marginal mixture is exact *)
-      in
-      let raw = List.fold_left adjust (Logp.to_log base) rules in
-      if raw = neg_infinity then Logp.zero else Logp.of_log (Float.min 0.0 raw)
-    end
-  end
+          else acc (* source outside: the stored marginal mixture is exact *)
+        in
+        let raw = List.fold_left adjust (Logp.to_log base) rules in
+        if raw = neg_infinity then Logp.zero else Logp.of_log (Float.min 0.0 raw)
+      end
 
 let factor_suffix_lengths t =
   let n = S.Ints.length t.text in
@@ -272,17 +270,14 @@ let factor_suffix_lengths t =
   flen
 
 let n_factors t = t.n_factors
-let n_skipped t = t.n_skipped
 
 let stats t =
-  let src = Lazy.force t.source in
   Printf.sprintf
     "transform: source=%d positions -> text=%d (factors=%d, skipped=%d, \
      tau_min=%g, blowup=%.2fx)"
-    (Ustring.length src) (S.Ints.length t.text) t.n_factors t.n_skipped
-    t.tau_min
+    t.source_length (S.Ints.length t.text) t.n_factors t.n_skipped t.tau_min
     (float_of_int (S.Ints.length t.text)
-    /. float_of_int (Stdlib.max 1 (Ustring.length src)))
+    /. float_of_int (Stdlib.max 1 t.source_length))
 
 let size_words t =
   (2 * S.Ints.length t.text) + (2 * S.Ints.length t.text) + 8
@@ -294,46 +289,49 @@ let size_bytes t =
 
 (* {2 Persistence} *)
 
-type meta = {
-  m_tau_min : float;
-  m_n_factors : int;
-  m_n_skipped : int;
-  m_has_correlations : bool;
-}
-
 let save_parts w t =
   let cum, zeros = Parray.raw t.parray in
-  S.Writer.add_bytes w "tr.meta"
-    (Marshal.to_string
-       {
-         m_tau_min = t.tau_min;
-         m_n_factors = t.n_factors;
-         m_n_skipped = t.n_skipped;
-         m_has_correlations = t.has_correlations;
-       }
-       []);
+  S.Writer.add_ints w "tr.meta" [| t.n_factors; t.n_skipped; t.source_length |];
+  S.Writer.add_floats w "tr.tau_min" [| t.tau_min |];
   S.Writer.add_ints_ba w "tr.text" t.text;
   S.Writer.add_ints_ba w "tr.pos" t.pos;
   S.Writer.add_floats_ba w "tr.cum" cum;
   S.Writer.add_ints_ba w "tr.zeros" zeros;
-  S.Writer.add_bytes w "tr.source" (Marshal.to_string (Lazy.force t.source) [])
+  Option.iter
+    (fun u -> S.Writer.add_bytes w "tr.source" (Ustring.encode u))
+    t.correlated
 
 let open_parts r =
-  let m : meta = Marshal.from_string (S.Reader.blob r "tr.meta") 0 in
-  let source = lazy (Marshal.from_string (S.Reader.blob r "tr.source") 0) in
-  (* Correlated engines touch the source on the query path, so pay the
-     deserialization up front rather than on the first query. *)
-  if m.m_has_correlations then ignore (Lazy.force source);
+  (* a bytes "tr.meta" is the marshalled record every container held
+     before the typed sections; refused before anything is decoded *)
+  if S.Reader.kind r "tr.meta" = Some "bytes" then
+    S.retired "tr.meta" "a container with a marshalled transform record";
+  let corrupt section reason = raise (S.Corrupt { section; reason }) in
+  let n_factors, n_skipped, source_length =
+    match S.Ints.to_array (S.Reader.ints r "tr.meta") with
+    | [| f; s; n |] -> (f, s, n)
+    | _ -> corrupt "tr.meta" "transform meta has wrong arity"
+  in
+  let tau = S.Reader.floats r "tr.tau_min" in
+  if S.Floats.length tau <> 1 then corrupt "tr.tau_min" "expected one value";
+  let correlated =
+    if not (S.Reader.has r "tr.source") then None
+    else
+      match Ustring.decode (S.Reader.blob r "tr.source") with
+      | u when Ustring.length u = source_length -> Some u
+      | _ -> corrupt "tr.source" "source length does not match tr.meta"
+      | exception Invalid_argument reason -> corrupt "tr.source" reason
+  in
   {
-    source;
-    tau_min = m.m_tau_min;
+    correlated;
+    source_length;
+    tau_min = S.Floats.get tau 0;
     text = S.Reader.ints r "tr.text";
     pos = S.Reader.ints r "tr.pos";
     parray =
       Parray.of_storage
         ~cum:(S.Reader.floats r "tr.cum")
         ~zeros:(S.Reader.ints r "tr.zeros");
-    n_factors = m.m_n_factors;
-    n_skipped = m.m_n_skipped;
-    has_correlations = m.m_has_correlations;
+    n_factors;
+    n_skipped;
   }

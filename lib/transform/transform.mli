@@ -47,7 +47,6 @@ val identity : Pti_ustring.Ustring.t -> t
     query thresholds). Raises [Invalid_argument] unless
     [Ustring.is_special] holds. *)
 
-val source : t -> Pti_ustring.Ustring.t
 val tau_min : t -> float
 
 val text : t -> Pti_ustring.Sym.t array
@@ -79,8 +78,9 @@ val window_logp : t -> pos:int -> len:int -> Pti_prob.Logp.t
 (** Marginal window product in the text. O(1). *)
 
 val has_correlations : t -> bool
-(** Whether the source string carries any correlation rule; cached at
-    construction so the hot window-probability path can skip the
+(** Whether the source string carries any correlation rule. Only then
+    does the transform keep the source (and a saved one its
+    [tr.source] section), so the hot window-probability path skips the
     correlation machinery entirely on correlation-free inputs. *)
 
 val window_logp_corrected : t -> pos:int -> len:int -> Pti_prob.Logp.t
@@ -96,8 +96,6 @@ val factor_suffix_lengths : t -> int array
     exactly [1 .. flen.(a)]. Computed on demand in O(N). *)
 
 val n_factors : t -> int
-val n_skipped : t -> int
-(** Factors skipped by the coverage rule. *)
 
 val stats : t -> string
 (** One-line human-readable summary. *)
@@ -113,15 +111,20 @@ val size_bytes : t -> int
 
 (** {2 Persistence}
 
-    A transform serializes into named sections of a {!Pti_storage}
-    container ([tr.meta], [tr.text], [tr.pos], [tr.cum], [tr.zeros],
-    [tr.source]). A [tr.logs] section in an older container is
-    ignored: per-position values are differences of [tr.cum]. All array sections are read back as
-    zero-copy views; the source string is a [Marshal] blob deserialized
-    lazily — eagerly only when the transform carries correlation rules,
-    because those are consulted on the query path. *)
+    A transform serializes into typed sections of a {!Pti_storage}
+    container: [tr.meta] (ints: factor count, skipped-factor count,
+    source length), [tr.tau_min] (one float), [tr.text], [tr.pos],
+    [tr.cum] and [tr.zeros]. Only a transform whose source carries
+    correlation rules adds [tr.source], the source in
+    {!Pti_ustring.Ustring.encode} form, decoded eagerly at open because
+    {!window_logp_corrected} reads it. Array sections are read back as
+    zero-copy views; a [tr.logs] section in an older container is
+    ignored (per-position values are differences of [tr.cum]). *)
 
 val save_parts : Pti_storage.Writer.t -> t -> unit
 
 val open_parts : Pti_storage.Reader.t -> t
-(** Raises {!Pti_storage.Corrupt} if a section is missing or damaged. *)
+(** Raises {!Pti_storage.Corrupt} if a section is missing, damaged or
+    fails to decode. A container whose [tr.meta] is a bytes section
+    (the marshalled record of earlier layouts) is refused as a retired
+    format, with a hint to rebuild, before anything is decoded. *)

@@ -18,7 +18,7 @@ let empty = { by_dep = Hashtbl.create 1; by_dep_pos = Hashtbl.create 1; all = []
 let is_empty t = t.all = []
 
 let check_prob name p =
-  if p < 0.0 || p > 1.0 then
+  if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Correlation: %s=%g not in [0,1]" name p)
 
 let of_rules rules =

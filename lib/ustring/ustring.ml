@@ -21,7 +21,7 @@ let validate_position i pos =
           (Printf.sprintf "Ustring.make: reserved separator symbol at %d" i);
       if sym < 1 then
         invalid_arg (Printf.sprintf "Ustring.make: invalid symbol at %d" i);
-      if prob <= 0.0 || prob > 1.0 then
+      if not (prob > 0.0 && prob <= 1.0) then
         invalid_arg
           (Printf.sprintf "Ustring.make: probability %g at %d not in (0,1]"
              prob i);
@@ -71,11 +71,20 @@ let validate_correlations positions (corr : Correlation.t) =
              r.dep_pos mix dep.prob))
     (Correlation.rules corr)
 
-let make ?(correlations = []) positions =
-  Array.iteri validate_position positions;
+(* [separators]: accept the deterministic separator positions [concat]
+   inserts between documents, which [make] refuses. *)
+let validated ~separators positions correlations =
+  Array.iteri
+    (fun i p ->
+      let sep = Array.length p = 1 && p.(0).sym = Sym.separator && p.(0).prob = 1.0 in
+      if not (separators && sep) then validate_position i p)
+    positions;
   let corr = Correlation.of_rules correlations in
   validate_correlations positions corr;
-  { positions = Array.map Array.copy positions; correlations = corr }
+  { positions; correlations = corr }
+
+let make ?(correlations = []) positions =
+  validated ~separators:false (Array.map Array.copy positions) correlations
 
 let length t = Array.length t.positions
 let choices t i = t.positions.(i)
@@ -261,11 +270,85 @@ let concat ~sep ds =
         (Correlation.rules d.correlations);
       offset := !offset + length d)
     ds;
-  let positions = Array.of_list (List.rev !parts) in
-  (* Bypass [make]'s separator check by constructing directly; the
-     separator positions are deterministic and validated here. *)
-  Array.iteri
-    (fun i p -> if p.(0).sym <> Sym.separator then validate_position i p)
-    positions;
-  let corr = Correlation.of_rules !rules in
-  ({ positions; correlations = corr }, starts)
+  (validated ~separators:true (Array.of_list (List.rev !parts)) !rules, starts)
+
+(* {2 Binary codec}
+
+   Unsigned LEB128 varints for counts, positions and symbols; IEEE
+   doubles in 8 little-endian bytes for probabilities, so they
+   round-trip exactly. Per position a header [(k lsl 1) lor det], then
+   its k choices as (sym, prob) — or, when det = 1 (one choice of
+   probability 1), the symbol alone. Then the rule count and per rule
+   dep_pos, dep_sym, src_pos, src_sym, p_present, p_absent. *)
+
+let encode t =
+  let b = Buffer.create (4 + (3 * length t)) in
+  let rec int v =
+    if v < 0x80 then Buffer.add_uint8 b v
+    else begin
+      Buffer.add_uint8 b (v land 0x7f lor 0x80);
+      int (v lsr 7)
+    end
+  in
+  let float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
+  int (length t);
+  Array.iter
+    (function
+      | [| { sym; prob = 1.0 } |] -> int 3; int sym
+      | p ->
+          int (Array.length p lsl 1);
+          Array.iter (fun c -> int c.sym; float c.prob) p)
+    t.positions;
+  let rules = Correlation.rules t.correlations in
+  int (List.length rules);
+  List.iter
+    (fun (r : Correlation.rule) ->
+      List.iter int [ r.dep_pos; r.dep_sym; r.src_pos; r.src_sym ];
+      float r.p_present;
+      float r.p_absent)
+    rules;
+  Buffer.contents b
+
+let decode s =
+  let bad what = invalid_arg ("Ustring.decode: " ^ what) in
+  let len = String.length s and cur = ref 0 in
+  let rec varint acc shift =
+    if !cur >= len || shift > 56 then bad "truncated or overlong varint";
+    let c = Char.code s.[!cur] in
+    incr cur;
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c >= 0x80 then varint acc (shift + 7)
+    else if acc < 0 then bad "varint out of range"
+    else acc
+  in
+  let int () = varint 0 0 in
+  let float () =
+    if !cur + 8 > len then bad "truncated";
+    cur := !cur + 8;
+    Int64.float_of_bits (String.get_int64_le s (!cur - 8))
+  in
+  (* each element takes at least [min] bytes: bounds [k] before
+     anything is allocated *)
+  let count k min = if k > (len - !cur) / min then bad "count exceeds the payload" else k in
+  let choice () =
+    let sym = int () in
+    { sym; prob = float () }
+  in
+  let position () =
+    match int () with
+    | 3 -> [| { sym = int (); prob = 1.0 } |]
+    | h when h land 1 = 0 -> Array.init (count (h lsr 1) 9) (fun _ -> choice ())
+    | _ -> bad "bad position header"
+  in
+  let positions = Array.init (count (int ()) 2) (fun _ -> position ()) in
+  let rule () =
+    let dep_pos = int () in
+    let dep_sym = int () in
+    let src_pos = int () in
+    let src_sym = int () in
+    let p_present = float () in
+    { Correlation.dep_pos; dep_sym; src_pos; src_sym; p_present; p_absent = float () }
+  in
+  let rules = List.init (count (int ()) 20) (fun _ -> rule ()) in
+  if !cur <> len then bad "trailing bytes";
+  validated ~separators:true positions rules

@@ -75,3 +75,18 @@ val concat : sep:Sym.t option -> t list -> t * int array
     deterministic separator symbol between them when [sep] is given.
     Also returns the start offset of each input. Correlation rules are
     re-based onto the concatenated coordinates. *)
+
+(** {2 Binary codec}
+
+    The one persisted form of an uncertain string (WAL inserts, listing
+    documents, a correlated transform's source): varint counts,
+    positions and symbols, 8-byte IEEE probabilities, so
+    [decode (encode u) = u] exactly. *)
+
+val encode : t -> string
+
+val decode : string -> t
+(** Inverse of {!encode}; validates as {!make} does, but accepts the
+    {!Sym.separator} positions {!concat} inserts. Raises
+    [Invalid_argument] on a malformed payload or content {!make} would
+    refuse, allocating no more than the payload's size bounds. *)

@@ -29,10 +29,10 @@ trap cleanup EXIT INT TERM
 echo "chaos-smoke: workdir $DIR"
 
 # ------------------------------------------------------------------
-# Crash-safe saves: 3000 positions make a multi-chunk (~2 MB)
+# Crash-safe saves: 6000 positions make a multi-chunk (~1.9 MB)
 # container, so the 5th/3rd write really lands mid-stream.
 
-"$PTI" gen --total 3000 --theta 0.3 --seed 7 -o "$DIR/data.txt"
+"$PTI" gen --total 6000 --theta 0.3 --seed 7 -o "$DIR/data.txt"
 "$PTI" build -i "$DIR/data.txt" -o "$DIR/idx.pti"
 cp "$DIR/idx.pti" "$DIR/baseline.pti"
 

@@ -190,6 +190,73 @@ let prop_listing =
       let l = L.build ~tau_min docs in
       H.sorted_fst (L.query l ~pattern:pat ~tau) = want_max docs pat tau)
 
+(* ------------------------------------------------------------------ *)
+(* Persisted documents: a saved listing's documents decode to the very
+   strings it was built from, and damaged document encodings
+   (bit-flipped, truncated or random, checksums valid) decode to a value
+   or raise a typed Corrupt, never another exception. Each container
+   carries [per_file] independently damaged documents, which [doc]
+   decodes one by one; every fifth container also damages the offsets
+   that delimit them. *)
+
+let test_docs_fuzz () =
+  let module S = Pti_storage in
+  let rng = H.rng_of_seed 93 in
+  let fresh () =
+    Pti_workload.Dataset.add_random_correlations rng
+      (H.random_ustring rng (3 + Random.State.int rng 10) 3 3)
+      ~count:2
+  in
+  let docs = List.init 4 (fun _ -> fresh ()) in
+  let pool = Array.init 32 (fun _ -> U.encode (fresh ())) in
+  let path = Filename.temp_file "pti_listing_docs" ".idx" in
+  let pristine = path ^ ".pristine" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; pristine ])
+    (fun () ->
+      L.save (L.build ~tau_min:0.1 docs) pristine;
+      let l = L.load pristine in
+      List.iteri
+        (fun k d -> Alcotest.(check bool) "document preserved" true (L.doc l k = d))
+        docs;
+      let per_file = 100 in
+      let decoded = ref 0 and refused = ref 0 in
+      for file = 1 to 120 do
+        let enc =
+          Array.init per_file (fun _ ->
+              H.mangle rng pool.(Random.State.int rng (Array.length pool)))
+        in
+        let offsets = Array.make (per_file + 1) 0 in
+        Array.iteri (fun k e -> offsets.(k + 1) <- offsets.(k) + String.length e) enc;
+        if file mod 5 = 0 then begin
+          let i = Random.State.int rng (per_file + 1) in
+          offsets.(i) <-
+            (if Random.State.bool rng then Random.State.full_int rng max_int
+             else offsets.(i) + Random.State.int rng 7 - 3)
+        end;
+        H.rewrite_container ~src:pristine ~dst:path (function
+          | "listing.meta" -> Some (H.Ints [| L.relevance_tag L.Rel_max; per_file |])
+          | "listing.docs" -> Some (H.Bytes (String.concat "" (Array.to_list enc)))
+          | "listing.doc_offsets" -> Some (H.Ints offsets)
+          | _ -> None);
+        let each f =
+          match f () with
+          | () -> incr decoded
+          | exception S.Corrupt _ -> incr refused
+          | exception e ->
+              Alcotest.failf "container %d: %s escaped the document decoder" file
+                (Printexc.to_string e)
+        in
+        match L.load ~verify:false path with
+        | l -> for k = 0 to per_file - 1 do each (fun () -> ignore (L.doc l k : U.t)) done
+        | exception S.Corrupt _ -> incr refused
+      done;
+      Alcotest.(check bool) "10 000 documents decoded or refused" true
+        (!decoded + !refused >= 10_000);
+      Alcotest.(check bool) "some documents decode" true (!decoded > 0);
+      Alcotest.(check bool) "some documents are refused" true (!refused > 0))
+
 let () =
   Alcotest.run "pti_listing"
     [
@@ -211,5 +278,6 @@ let () =
         [
           Alcotest.test_case "build validation" `Quick test_build_validation;
           Alcotest.test_case "accessors" `Quick test_accessors;
+          Alcotest.test_case "persisted documents fuzzed" `Quick test_docs_fuzz;
         ] );
     ]

@@ -4,10 +4,37 @@
    engine persists must do so at every block size, with its stored
    block maxima, and after a reopen from a mapped container. *)
 
-module Rmq = Pti_rmq.Rmq
 module Block = Pti_rmq.Rmq_block
 module Naive = Pti_rmq.Rmq_naive
+module Sparse = Pti_rmq.Rmq_sparse
 module S = Pti_storage
+
+(* What the per-implementation cases need of an RMQ. *)
+module type RMQ = sig
+  type t
+
+  val build : float array -> t
+  val build_oracle : value:(int -> float) -> len:int -> t
+  val length : t -> int
+  val query : t -> l:int -> r:int -> int
+end
+
+let block_of size : (module RMQ) =
+  (module struct
+    include Block
+
+    let build a = build ~block:size a
+    let build_oracle = build_oracle ~block:size
+  end)
+
+(* The implementations under test, by the names their cases carry. *)
+let impls : (string * (module RMQ)) list =
+  [
+    ("naive", (module Naive));
+    ("sparse", (module Sparse));
+    ("block:31", block_of Block.max_block);
+    ("block:4", block_of 4);
+  ]
 
 let reference a l r =
   let best = ref l in
@@ -16,46 +43,44 @@ let reference a l r =
   done;
   !best
 
-let all_ranges_agree name kind a =
-  let t = Rmq.build kind a in
+let all_ranges_agree name (module R : RMQ) a =
+  let t = R.build a in
   let n = Array.length a in
-  Alcotest.(check int) (name ^ " length") n (Rmq.length t);
+  Alcotest.(check int) (name ^ " length") n (R.length t);
   for l = 0 to n - 1 do
     for r = l to n - 1 do
-      let got = Rmq.query t ~l ~r in
+      let got = R.query t ~l ~r in
       let want = reference a l r in
       if got <> want then
         Alcotest.failf "%s: range [%d,%d] got %d want %d" name l r got want
     done
   done
 
-let test_kind kind () =
-  let name = Rmq.kind_to_string kind in
-  all_ranges_agree name kind [| 1.0 |];
-  all_ranges_agree name kind [| 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0 |];
-  all_ranges_agree name kind (Array.init 40 (fun i -> float_of_int (i mod 7)));
-  all_ranges_agree name kind (Array.make 33 1.0);
+let test_kind name impl () =
+  all_ranges_agree name impl [| 1.0 |];
+  all_ranges_agree name impl [| 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0 |];
+  all_ranges_agree name impl (Array.init 40 (fun i -> float_of_int (i mod 7)));
+  all_ranges_agree name impl (Array.make 33 1.0);
   (* ties everywhere *)
-  all_ranges_agree name kind [| 2.0; 2.0; 2.0; 1.0; 2.0; 2.0 |];
+  all_ranges_agree name impl [| 2.0; 2.0; 2.0; 1.0; 2.0; 2.0 |];
   (* strictly decreasing / increasing *)
-  all_ranges_agree name kind (Array.init 50 (fun i -> float_of_int (-i)));
-  all_ranges_agree name kind (Array.init 50 float_of_int);
+  all_ranges_agree name impl (Array.init 50 (fun i -> float_of_int (-i)));
+  all_ranges_agree name impl (Array.init 50 float_of_int);
   (* with -infinity (dead slots, as used by the index) *)
-  all_ranges_agree name kind
+  all_ranges_agree name impl
     [| neg_infinity; 0.5; neg_infinity; neg_infinity; 0.7; neg_infinity |]
 
-let test_random kind () =
-  let name = Rmq.kind_to_string kind in
+let test_random name (module R : RMQ) () =
   let rng = Random.State.make [| 3 |] in
   for _ = 1 to 60 do
     let n = 1 + Random.State.int rng 200 in
     (* small value universe to exercise ties *)
     let a = Array.init n (fun _ -> float_of_int (Random.State.int rng 8)) in
-    let t = Rmq.build kind a in
+    let t = R.build a in
     for _ = 1 to 100 do
       let l = Random.State.int rng n in
       let r = l + Random.State.int rng (n - l) in
-      let got = Rmq.query t ~l ~r in
+      let got = R.query t ~l ~r in
       let want = reference a l r in
       if got <> want then
         Alcotest.failf "%s random: range [%d,%d] got %d want %d" name l r got
@@ -63,46 +88,34 @@ let test_random kind () =
     done
   done
 
-let test_oracle_constructor kind () =
+let test_oracle_constructor (module R : RMQ) () =
   let a = Array.init 777 (fun i -> sin (float_of_int i)) in
-  let t = Rmq.build_oracle kind ~value:(fun i -> a.(i)) ~len:777 in
+  let t = R.build_oracle ~value:(fun i -> a.(i)) ~len:777 in
   let rng = Random.State.make [| 4 |] in
   for _ = 1 to 300 do
     let l = Random.State.int rng 777 in
     let r = l + Random.State.int rng (777 - l) in
-    Alcotest.(check int) "oracle query" (reference a l r) (Rmq.query t ~l ~r)
+    Alcotest.(check int) "oracle query" (reference a l r) (R.query t ~l ~r)
   done
 
-let test_bounds kind () =
-  let t = Rmq.build kind [| 1.0; 2.0 |] in
+let test_bounds (module R : RMQ) () =
+  let t = R.build [| 1.0; 2.0 |] in
   List.iter
     (fun (l, r) ->
       Alcotest.(check bool)
         (Printf.sprintf "invalid [%d,%d]" l r)
         true
         (try
-           ignore (Rmq.query t ~l ~r);
+           ignore (R.query t ~l ~r);
            false
          with Invalid_argument _ -> true))
     [ (-1, 0); (0, 2); (1, 0) ]
 
-let test_kind_strings () =
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        "roundtrip" true
-        (Rmq.kind_of_string (Rmq.kind_to_string k) = Some k))
-    Rmq.all_kinds;
-  Alcotest.(check bool) "unknown" true (Rmq.kind_of_string "bogus" = None)
-
 let test_size_words () =
   let a = Array.init 4096 (fun i -> float_of_int (i mod 13)) in
-  let sparse = Rmq.build Sparse a in
-  let block = Rmq.build (Block 31) a in
-  let naive = Rmq.build Naive a in
-  Alcotest.(check bool) "naive tiny" true (Rmq.size_words naive < 8);
+  Alcotest.(check bool) "naive tiny" true (Naive.size_words (Naive.build a) < 8);
   Alcotest.(check bool) "block smaller than sparse" true
-    (Rmq.size_words block < Rmq.size_words sparse)
+    (Block.size_words (Block.build a) < Sparse.size_words (Sparse.build a))
 
 (* Large instance exercising the block structure's recursive top level
    (cutoff 2048 blocks): 300k / 31 ≈ 9.7k blocks → one recursion. *)
@@ -110,29 +123,16 @@ let test_block_large () =
   let n = 300_000 in
   let rng = Random.State.make [| 6 |] in
   let a = Array.init n (fun _ -> Random.State.float rng 1.0) in
-  let t = Rmq.build (Block 31) a in
+  let t = Block.build a in
   for _ = 1 to 500 do
     let l = Random.State.int rng n in
     let r = l + Random.State.int rng (n - l) in
-    Alcotest.(check int) "block large" (reference a l r) (Rmq.query t ~l ~r)
+    Alcotest.(check int) "block large" (reference a l r) (Block.query t ~l ~r)
   done
 
-let test_block_strings () =
-  Alcotest.(check bool)
-    "block defaults to 31" true
-    (Rmq.kind_of_string "block" = Some (Rmq.Block 31));
-  Alcotest.(check bool)
-    "block:4 parses" true
-    (Rmq.kind_of_string "block:4" = Some (Rmq.Block 4));
-  Alcotest.(check bool) "block:1 rejected" true (Rmq.kind_of_string "block:1" = None);
-  Alcotest.(check bool)
-    "block:32 rejected" true
-    (Rmq.kind_of_string "block:32" = None);
-  Alcotest.(check bool) "block:x rejected" true (Rmq.kind_of_string "block:x" = None)
-
-let prop_agree kind =
+let prop_agree name (module R : RMQ) =
   QCheck2.Test.make
-    ~name:(Printf.sprintf "%s agrees with scan" (Rmq.kind_to_string kind))
+    ~name:(Printf.sprintf "%s agrees with scan" name)
     ~count:300
     QCheck2.Gen.(
       let* n = int_range 1 120 in
@@ -141,8 +141,8 @@ let prop_agree kind =
       let* r = int_range l (n - 1) in
       return (Array.map float_of_int a, l, r))
     (fun (a, l, r) ->
-      let t = Rmq.build kind a in
-      Rmq.query t ~l ~r = reference a l r)
+      let t = R.build a in
+      R.query t ~l ~r = reference a l r)
 
 (* The signature block RMQ against the naive scan, over arrays of heavy
    ties and runs of -infinity (what dead slots look like), at every
@@ -237,28 +237,26 @@ let prop_block_sizes =
         (int_bound 1_000_000))
     block_matches_naive
 
-let cases kind =
-  let n = Rmq.kind_to_string kind in
+let cases n =
+  let impl = List.assoc n impls in
   [
-    Alcotest.test_case (n ^ " exhaustive") `Quick (test_kind kind);
-    Alcotest.test_case (n ^ " random") `Quick (test_random kind);
-    Alcotest.test_case (n ^ " oracle ctor") `Quick (test_oracle_constructor kind);
-    Alcotest.test_case (n ^ " bounds") `Quick (test_bounds kind);
-    QCheck_alcotest.to_alcotest (prop_agree kind);
+    Alcotest.test_case (n ^ " exhaustive") `Quick (test_kind n impl);
+    Alcotest.test_case (n ^ " random") `Quick (test_random n impl);
+    Alcotest.test_case (n ^ " oracle ctor") `Quick (test_oracle_constructor impl);
+    Alcotest.test_case (n ^ " bounds") `Quick (test_bounds impl);
+    QCheck_alcotest.to_alcotest (prop_agree n impl);
   ]
 
 let () =
   Alcotest.run "pti_rmq"
     [
-      ("naive", cases Rmq.Naive);
-      ("sparse", cases Rmq.Sparse);
-      ("block", cases (Rmq.Block 31));
-      ("block-small", cases (Rmq.Block 4));
+      ("naive", cases "naive");
+      ("sparse", cases "sparse");
+      ("block", cases "block:31");
+      ("block-small", cases "block:4");
       ("block-sizes", [ QCheck_alcotest.to_alcotest prop_block_sizes ]);
       ( "misc",
         [
-          Alcotest.test_case "kind strings" `Quick test_kind_strings;
-          Alcotest.test_case "block kind strings" `Quick test_block_strings;
           Alcotest.test_case "size accounting" `Quick test_size_words;
           Alcotest.test_case "block large (recursive top)" `Slow
             test_block_large;

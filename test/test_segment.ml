@@ -22,18 +22,7 @@ module H = Pti_test_helpers
 
 let tau_min = 0.1
 
-let with_tmpdir f =
-  let dir = Filename.temp_file "pti_segment_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ()) (fun () -> f dir)
+let with_tmpdir = H.with_tmpdir
 
 let read_file path =
   let ic = open_in_bin path in
@@ -275,6 +264,40 @@ let test_compact_to_empty () =
       Alcotest.(check int)
         "empty corpus count" 0
         (Store.count t ~pattern:[| Char.code 'A' |] ~tau:0.3))
+
+(* Files that only look like segment or log files: int_of_string would
+   read a sequence number out of each, so a lax match let compaction's
+   orphan sweep unlink them (and replay read the wal-* ones as logs). *)
+let test_lookalike_files_untouched () =
+  with_tmpdir (fun dir ->
+      let t = store_with_cuts dir (docs_of_seed 68 ~n:8) ~cuts:4 in
+      let planted =
+        [
+          "seg-0x1.pti";
+          "seg--1.pti";
+          "seg-1_0.pti";
+          "seg-+3.pti";
+          "seg-1.pti";
+          "wal-0x0.log";
+          "wal--1.log";
+          "notes.txt";
+        ]
+      in
+      List.iter
+        (fun n ->
+          let oc = open_out_bin (Filename.concat dir n) in
+          output_string oc ("user data: " ^ n);
+          close_out oc)
+        planted;
+      Alcotest.(check bool) "compacts" true (Store.compact ~force:true t);
+      let t' = Store.open_dir dir in
+      Alcotest.(check int) "reopened with every document" 8
+        (Store.stats t').Store.st_live_docs;
+      List.iter
+        (fun n ->
+          Alcotest.(check string) (n ^ " untouched") ("user data: " ^ n)
+            (read_file (Filename.concat dir n)))
+        planted)
 
 let test_reopen_and_reload () =
   let docs = docs_of_seed 71 ~n:20 in
@@ -745,6 +768,8 @@ let () =
           Alcotest.test_case "tier and ratio policy" `Quick
             test_compaction_policy;
           Alcotest.test_case "compact to empty" `Quick test_compact_to_empty;
+          Alcotest.test_case "look-alike file names untouched" `Quick
+            test_lookalike_files_untouched;
         ] );
       ( "durability",
         [

@@ -857,8 +857,8 @@ let test_torn_hit_reply () =
      a cached hit's reply is cut short and the connection breaks. The
      key is cheap, so no worker ever holds the connection's write
      mutex and every reply leaves through the loop's own send. *)
-  let _, _, g, _, _, _ = Lazy.force fixture in
-  let pattern = List.hd (cheap_patterns ~seed:60 (G.engine g) (G.source g) 1) in
+  let u, _, g, _, _, _ = Lazy.force fixture in
+  let pattern = List.hd (cheap_patterns ~seed:60 (G.engine g) u 1) in
   let op = P.Query { index = 0; pattern; tau = 0.2 } in
   with_faults (fun () ->
       with_server [ Server.Source_general g ] (fun srv port ->
@@ -938,9 +938,9 @@ let test_retired_format_refused () =
 let test_over_budget_queued () =
   (* with the only worker asleep in a Slow op, a query over the loop's
      budget waits for it; a cheap miss and a Ping do not *)
-  let _, _, g, _, _, _ = Lazy.force fixture in
+  let u, _, g, _, _, _ = Lazy.force fixture in
   a_over_budget ();
-  let cheap = List.hd (cheap_patterns ~seed:61 (G.engine g) (G.source g) 1) in
+  let cheap = List.hd (cheap_patterns ~seed:61 (G.engine g) u 1) in
   let config =
     { (base_config 1) with debug_slow = true; deadline_ms = 30_000.0 }
   in
@@ -1030,8 +1030,8 @@ let test_cold_file_on_worker () =
      goes to a worker, whose slow open does not hold up another
      connection's Ping; once open, the file's cheap misses run on the
      loop *)
-  let _, _, g, _, gpath, _ = Lazy.force fixture in
-  let pats = cheap_patterns ~seed:62 (G.engine g) (G.source g) 2 in
+  let u, _, g, _, gpath, _ = Lazy.force fixture in
+  let pats = cheap_patterns ~seed:62 (G.engine g) u 2 in
   let query id pattern = { P.id; op = P.Query { index = 0; pattern; tau = 0.2 } } in
   let want pattern = wire (G.query g ~pattern:(Sym.of_string pattern) ~tau:0.2) in
   with_faults (fun () ->
@@ -1068,8 +1068,8 @@ let test_loop_miss_identity () =
      give, on binary and JSON connections, typed errors included; the
      first sighting bypasses the result cache, the second fills it on
      the loop, the third is a hit *)
-  let _, docs, g, l, _, _ = Lazy.force fixture in
-  let gp = cheap_patterns ~seed:63 (G.engine g) (G.source g) 12 in
+  let u, docs, g, l, _, _ = Lazy.force fixture in
+  let gp = cheap_patterns ~seed:63 (G.engine g) u 12 in
   let lp = cheap_patterns ~seed:64 (L.engine l) (List.hd docs) 6 in
   let bad_tau = tau_min /. 2.0 in
   let refused f =
@@ -1133,8 +1133,8 @@ let test_syscall_counts () =
   (* the daemon counts its own syscalls: N lock-step requests on one
      connection, each a miss the loop runs, take exactly N sends from
      the loop and no write from a worker *)
-  let _, _, g, _, _, _ = Lazy.force fixture in
-  let pats = cheap_patterns ~seed:65 (G.engine g) (G.source g) 10 in
+  let u, _, g, _, _, _ = Lazy.force fixture in
+  let pats = cheap_patterns ~seed:65 (G.engine g) u 10 in
   with_server [ Server.Source_general g ] (fun srv port ->
       with_conn port (fun fd ->
           let m = Server.metrics srv in

@@ -590,7 +590,6 @@ let test_roundtrip_special () =
     with_tmp (fun path ->
         Sp.save sp path;
         let sp' = Sp.load path in
-        Alcotest.(check bool) "source preserved" true (Sp.source sp' = u);
         for _ = 1 to 10 do
           let pat = H.random_pattern rng u 8 in
           let tau = Random.State.float rng 0.9 in
@@ -693,9 +692,13 @@ let test_retired_fischer_heun () =
       Alcotest.(check string) "tag 2 refused" "rmq.level.1.kind" (refusal path))
 
 (* Engine layouts that are gone: a suffix-tree "st" section, an "fm"
-   Marshal blob, a two-element "meta", a marshalled "cfg" record. The
-   cfg and listing blobs are garbage, so the refusal must come before
-   anything is unmarshalled. *)
+   Marshal blob, a two-element "meta", a marshalled "cfg" record, and
+   the marshalled transform record of a bytes "tr.meta". The cfg and
+   listing blobs are garbage, so the refusal must come before anything
+   is decoded. The same holds for the listing's own marshalled
+   "listing.meta" and for the corpus encodings that went with them: a
+   format-1 MANIFEST (marshalled config and segment blobs) and a WAL
+   of marshalled records. *)
 let test_retired_engine_layouts () =
   List.iter
     (fun (section, add) ->
@@ -718,7 +721,63 @@ let test_retired_engine_layouts () =
           S.Writer.add_bytes w "fm" "fm index" );
       ("meta", fun w -> S.Writer.add_ints w "meta" [| 1; 1 |]);
       ("cfg", fun w -> S.Writer.add_ints w "meta" [| 1; 1; 0 |]);
-    ]
+    ];
+  (* a bytes "tr.meta" behind an otherwise current engine meta *)
+  with_tmp (fun path ->
+      let w = S.Writer.create path in
+      S.Writer.add_ints w "listing.doc_of" [| 0 |];
+      S.Writer.add_ints w "meta" [| 1; 1; 0; 0; 0 |];
+      S.Writer.add_bytes w "tr.meta" "not a marshalled transform record";
+      S.Writer.add_bytes w "tr.source" "not a marshalled string";
+      S.Writer.close w;
+      Alcotest.(check string) "tr.meta refused" "tr.meta" (refusal path));
+  (* a current listing whose "listing.meta" is the marshalled pair *)
+  let rng = H.rng_of_seed 84 in
+  let l = L.build ~tau_min:0.1 (List.init 3 (fun _ -> H.random_ustring rng 20 3 2)) in
+  with_tmp (fun path ->
+      L.save l path;
+      H.rewrite_container ~src:path ~dst:path (function
+        | "listing.meta" -> Some (H.Bytes "not a marshalled pair")
+        | "listing.docs" -> Some (H.Bytes "not encoded documents")
+        | _ -> None);
+      let section f =
+        match f () with
+        | _ -> Alcotest.fail "a marshalled listing.meta was opened"
+        | exception S.Corrupt { section; reason } ->
+            if not (contains reason "rebuild") then
+              Alcotest.failf "reason %S does not say to rebuild" reason;
+            section
+      in
+      Alcotest.(check string) "listing.meta refused" "listing.meta"
+        (section (fun () -> ignore (L.load path))));
+  let module Store = Pti_segment.Segment_store in
+  let corpus_refusal dir =
+    match Store.open_dir ~read_only:true dir with
+    | _ -> Alcotest.failf "%s: a retired corpus was opened" dir
+    | exception S.Corrupt { section; reason } ->
+        if not (contains reason "rebuild") then
+          Alcotest.failf "reason %S does not say to rebuild" reason;
+        section
+  in
+  (* a format-1 MANIFEST: its config and segment list were blobs *)
+  H.with_tmpdir (fun dir ->
+      ignore (Store.create dir : Store.t);
+      let m = Filename.concat dir Store.manifest_name in
+      H.rewrite_container ~src:m ~dst:m (function
+        | "corpus.meta" -> Some (H.Ints [| 1; 0; 0; 0 |])
+        | "corpus.config" -> Some (H.Bytes "not a marshalled config")
+        | "corpus.segments" -> Some (H.Bytes "not marshalled names")
+        | _ -> None);
+      Alcotest.(check string) "format-1 manifest refused" "corpus.meta"
+        (corpus_refusal dir));
+  (* a WAL whose record is a Marshal payload *)
+  H.with_tmpdir (fun dir ->
+      ignore (Store.create dir : Store.t);
+      let w = S.Wal.open_writer (Filename.concat dir "wal-000000.log") in
+      S.Wal.append w (Marshal.to_string (0, "a marshalled insert") []);
+      S.Wal.close w;
+      Alcotest.(check string) "marshalled WAL record refused" "wal"
+        (corpus_refusal dir))
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe saves under injected faults: whatever fails and wherever,
@@ -731,20 +790,21 @@ let with_faults f =
   F.disarm_all ();
   Fun.protect ~finally:F.disarm_all f
 
-(* Two different engines over the same alphabet; [g_old] is what the
-   destination must still hold after a failed overwrite by [g_new]. *)
+(* Two different engines over the same alphabet, and the source of the
+   first; [g_old] is what the destination must still hold after a
+   failed overwrite by [g_new]. *)
 let make_engines () =
   let rng = H.rng_of_seed 1234 in
   let u1 = H.random_ustring rng 80 4 3 in
   let u2 = H.random_ustring rng 110 4 3 in
-  (G.build ~tau_min:0.1 u1, G.build ~tau_min:0.1 u2)
+  (u1, G.build ~tau_min:0.1 u1, G.build ~tau_min:0.1 u2)
 
 let no_temp_left path =
   Alcotest.(check bool) "temp file unlinked" false
     (Sys.file_exists (S.temp_path path))
 
 let test_fault_save_keeps_old () =
-  let g_old, g_new = make_engines () in
+  let u_old, g_old, g_new = make_engines () in
   let cases =
     [
       ("write enospc", "storage.write:enospc@1");
@@ -770,7 +830,7 @@ let test_fault_save_keeps_old () =
           (* and the old container still opens checksum-clean *)
           let g' = G.load path in
           let rng = H.rng_of_seed 5 in
-          let pat = H.random_pattern rng (G.source g') 6 in
+          let pat = H.random_pattern rng u_old 6 in
           Alcotest.(check bool) (label ^ ": old index still answers") true
             (G.query g_old ~pattern:pat ~tau:0.3
             = G.query g' ~pattern:pat ~tau:0.3)))
@@ -781,7 +841,7 @@ let test_fault_save_keeps_old () =
    calls; failing the 3rd lands mid-stream, right at a chunk
    boundary. *)
 let test_fault_enospc_chunk_boundary () =
-  let g_old, _ = make_engines () in
+  let _, g_old, _ = make_engines () in
   let rng = H.rng_of_seed 4321 in
   let g_big = G.build ~tau_min:0.1 (H.random_ustring rng 3000 4 3) in
   with_tmp (fun path ->
@@ -809,7 +869,7 @@ let test_fault_enospc_chunk_boundary () =
 (* A fault *after* the rename (the directory fsync) surfaces the error
    but must leave the new container complete and valid. *)
 let test_fault_after_rename_leaves_new () =
-  let g_old, g_new = make_engines () in
+  let _, g_old, g_new = make_engines () in
   with_tmp (fun path ->
       G.save g_old path;
       with_faults (fun () ->
@@ -827,7 +887,7 @@ let test_fault_after_rename_leaves_new () =
 (* Short writes and EINTR are not failures: the writer resumes and the
    result is byte-identical to an unfaulted save. *)
 let test_fault_short_write_resumes () =
-  let _, g = make_engines () in
+  let _, _, g = make_engines () in
   let clean = with_tmp (fun p -> G.save g p; read_file p) in
   List.iter
     (fun (label, spec) ->
@@ -856,7 +916,7 @@ let test_fault_short_write_resumes () =
 let abort_child_env = "PTI_TEST_ABORT_CHILD"
 
 let test_fault_abort_mid_save () =
-  let g_old, _ = make_engines () in
+  let _, g_old, _ = make_engines () in
   with_tmp (fun path ->
       G.save g_old path;
       let old_bytes = read_file path in
@@ -899,7 +959,7 @@ let () =
   | None -> ()
   | Some path ->
       F.arm "storage.write" F.Abort (F.Nth 1);
-      let _, g_new = make_engines () in
+      let _, _, g_new = make_engines () in
       (try G.save g_new path with _ -> ());
       exit 9 (* only reached if the failpoint did not abort *)
 

@@ -368,6 +368,59 @@ let prop_oracle_monotone_in_length =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Binary codec *)
+
+(* Random strings with correlation rules, some with deterministic
+   positions (one choice of probability exactly 1), and concatenations
+   carrying separator positions: decode must give back the very value,
+   floats bit for bit. *)
+let prop_codec_roundtrip =
+  QCheck2.Test.make ~name:"decode inverts encode" ~count:500
+    QCheck2.Gen.(
+      let* seed = int_range 0 1_000_000 in
+      let* n = int_range 0 40 in
+      let* maxc = int_range 1 4 in
+      let* rules = int_range 0 6 in
+      let* docs = int_range 1 3 in
+      return (seed, n, maxc, rules, docs))
+    (fun (seed, n, maxc, rules, docs) ->
+      let rng = H.rng_of_seed seed in
+      let one () =
+        Pti_workload.Dataset.add_random_correlations rng
+          (H.random_ustring rng (Stdlib.max 1 n) 5 maxc)
+          ~count:rules
+      in
+      let u =
+        if docs = 1 then one ()
+        else fst (U.concat ~sep:(Some Sym.separator) (List.init docs (fun _ -> one ())))
+      in
+      let u' = U.decode (U.encode u) in
+      u' = u && U.encode u' = U.encode u)
+
+let test_codec_refusals () =
+  let refused name s =
+    match U.decode s with
+    | _ -> Alcotest.failf "%s: decoded" name
+    | exception Invalid_argument _ -> ()
+  in
+  let enc = U.encode (U.parse "A:.5,C:.5 G T:.25,A:.75") in
+  refused "empty" "";
+  refused "truncated" (String.sub enc 0 (String.length enc - 1));
+  refused "trailing bytes" (enc ^ "\000");
+  refused "huge count" "\xff\xff\xff\xff\x0f";
+  refused "overlong varint" (String.make 12 '\xff');
+  (* one position of two choices whose probabilities are NaN *)
+  let nan = Bytes.create 8 in
+  Bytes.set_int64_le nan 0 (Int64.bits_of_float Float.nan);
+  let nan = Bytes.to_string nan in
+  refused "NaN probability" ("\001\004A" ^ nan ^ "C" ^ nan ^ "\000");
+  (* a separator choice inside an uncertain position *)
+  refused "separator among choices"
+    (U.encode (U.parse "A:.5,C:.5") |> String.map (fun c -> if c = 'A' then '\001' else c));
+  Alcotest.(check int) "the empty string round-trips" 0
+    (U.length (U.decode (U.encode (U.make [||]))))
+
 let () =
   Alcotest.run "pti_ustring"
     [
@@ -401,5 +454,11 @@ let () =
           Alcotest.test_case "figure 4 semantics" `Quick test_correlation_figure4;
           Alcotest.test_case "rule validation" `Quick test_correlation_validation;
           Alcotest.test_case "marginal mixture" `Quick test_marginal_mixture;
+        ] );
+      ( "codec",
+        [
+          QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+          Alcotest.test_case "malformed payloads refused" `Quick
+            test_codec_refusals;
         ] );
     ]

@@ -28,21 +28,7 @@ module H = Pti_test_helpers
 
 let tau_min = 0.1
 
-let with_tmpdir f =
-  let dir = Filename.temp_file "pti_wal_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
+let with_tmpdir = H.with_tmpdir
 
 let with_faults f =
   F.disarm_all ();
@@ -737,6 +723,110 @@ let test_scrub_spares_retired_segment () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Decoder fuzzing: every payload a reader can meet once checksums
+   pass — valid, bit-flipped, truncated or random — must decode to a
+   value or raise a typed Corrupt, never another exception. *)
+
+let fuzz_cases = 10_000
+
+let fuzz_doc rng =
+  let u = H.random_ustring rng (1 + Random.State.int rng 12) 4 3 in
+  if Random.State.bool rng then u
+  else Pti_workload.Dataset.add_random_correlations rng u ~count:2
+
+(* Run [decode] on [fuzz_cases] payloads; count values and refusals. *)
+let fuzz name rng ~payload ~decode =
+  let ok = ref 0 and refused = ref 0 in
+  for i = 1 to fuzz_cases do
+    match decode (payload rng) with
+    | () -> incr ok
+    | exception S.Corrupt _ -> incr refused
+    | exception e ->
+        Alcotest.failf "%s case %d: %s escaped the decoder" name i
+          (Printexc.to_string e)
+  done;
+  Alcotest.(check bool) (name ^ ": some payloads decode") true (!ok > 0);
+  Alcotest.(check bool) (name ^ ": some payloads are refused") true (!refused > 0)
+
+let test_fuzz_wal_records () =
+  let rng = H.rng_of_seed 91 in
+  let op rng =
+    match Random.State.int rng 3 with
+    | 0 -> Store.W_insert (Random.State.int rng 100_000, fuzz_doc rng)
+    | 1 -> Store.W_delete (Random.State.int rng 100_000)
+    | _ -> Store.W_seal (Random.State.int rng 1_000)
+  in
+  fuzz "wal" rng
+    ~payload:(fun rng -> H.mangle rng (Store.wal_encode (op rng)))
+    ~decode:(fun s ->
+      let op = Store.wal_decode s in
+      if Store.wal_decode (Store.wal_encode op) <> op then
+        Alcotest.fail "wal: a decoded record does not round-trip")
+
+(* A random replacement for one manifest section: plausible or hostile
+   values, the wrong kind, or no section at all. *)
+let fuzz_section rng = function
+  | H.Ints a ->
+      let v () =
+        match Random.State.int rng 6 with
+        | 0 -> -1
+        | 1 -> max_int
+        | 2 -> min_int
+        | 3 when Array.length a > 0 -> a.(Random.State.int rng (Array.length a)) + 1
+        | _ -> Random.State.int rng 8
+      in
+      (match Random.State.int rng 4 with
+      | 0 -> H.Ints (Array.init (Random.State.int rng 6) (fun _ -> v ()))
+      | 1 when Array.length a > 0 ->
+          let a = Array.copy a in
+          a.(Random.State.int rng (Array.length a)) <- v ();
+          H.Ints a
+      | 2 -> H.Ints (Array.sub a 0 (Random.State.int rng (Array.length a + 1)))
+      | _ -> if Random.State.bool rng then H.Drop else H.Bytes "\001\002")
+  | H.Floats _ ->
+      let vals = [| Float.nan; infinity; 0.0; 1.0; -0.5; 0.25; 1e-300 |] in
+      if Random.State.int rng 5 = 0 then H.Drop
+      else H.Floats (Array.init (Random.State.int rng 3) (fun _ -> vals.(Random.State.int rng 7)))
+  | H.Bytes b ->
+      if Random.State.int rng 5 = 0 then H.Ints [| 1 |] else H.Bytes (H.mangle rng b)
+  | H.Drop -> H.Ints [| Random.State.int rng 3 |]
+
+let test_fuzz_manifest () =
+  with_tmpdir (fun dir ->
+      let t = Store.create ~config:manual_config dir in
+      let rng = H.rng_of_seed 92 in
+      for i = 1 to 6 do
+        ignore (Store.insert t (fuzz_doc rng) : int);
+        if i mod 3 = 0 then ignore (Store.seal t : bool)
+      done;
+      ignore (Store.delete t 1 : bool);
+      let m = Filename.concat dir Store.manifest_name in
+      let pristine = Filename.concat dir "pristine" in
+      H.rewrite_container ~src:m ~dst:pristine (fun _ -> None);
+      let r = S.Reader.open_file pristine in
+      let sections =
+        ("corpus.quarantine", H.Drop)
+        :: List.map
+             (fun i ->
+               let n = i.S.Reader.si_name in
+               ( n,
+                 match i.S.Reader.si_kind with
+                 | "ints" -> H.Ints (S.Ints.to_array (S.Reader.ints r n))
+                 | "floats" -> H.Floats (S.Floats.to_array (S.Reader.floats r n))
+                 | _ -> H.Bytes (S.Reader.blob r n) ))
+             (S.Reader.table r)
+        |> Array.of_list
+      in
+      fuzz "manifest" rng
+        ~payload:(fun rng ->
+          let name, cur = sections.(Random.State.int rng (Array.length sections)) in
+          (name, fuzz_section rng cur))
+        ~decode:(fun (name, repl) ->
+          H.rewrite_container ~extra:[ name ] ~src:pristine ~dst:m (fun n ->
+              if n = name then Some repl else None);
+          ignore (Store.open_dir ~read_only:true ~verify:false dir : Store.t)))
+
 let () =
   Alcotest.run "pti_wal"
     [
@@ -787,5 +877,10 @@ let () =
             test_scrub_io_error_counted;
           Alcotest.test_case "retired segment refused, not quarantined" `Quick
             test_scrub_spares_retired_segment;
+        ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "WAL record decoder" `Quick test_fuzz_wal_records;
+          Alcotest.test_case "manifest reader" `Quick test_fuzz_manifest;
         ] );
     ]
