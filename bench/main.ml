@@ -585,6 +585,57 @@ let abl_approx_variants () =
     (mb (Pti_core.Property_index.size_words pr))
     (qp *. 1e6)
 
+(* The range step alone on the mapped packed container: the two-search
+   order (two full boundary searches, then the occurrence check)
+   against the bucketed search the engine runs, over the same mapped
+   [tr.text] and [sa] sections, per pattern length. Mean us per
+   pattern, best of three passes over 2 000 Querygen patterns; every
+   answer is checked equal. *)
+let abl_range_step u =
+  let module S = Pti_storage in
+  let module Sa = Pti_suffix.Sa_search.Ba in
+  let g = G.build ~tau_min:tau_min_default u in
+  let path = Filename.temp_file "pti_bench_range" ".idx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      G.save g path;
+      let r = S.Reader.open_file path in
+      let text = S.Reader.ints r "tr.text" and sa = S.Reader.ints r "sa" in
+      let table, table_s = time (fun () -> Sa.qgram text) in
+      Printf.printf
+        "\n   range step alone (mapped packed container, text length %d): \
+         table %s derived in %.2f ms\n"
+        (S.Ints.length text)
+        (Pti_suffix.Sa_search.Qgram.describe table)
+        (table_s *. 1e3);
+      Printf.printf "%6s %10s %12s %14s %12s %8s\n" "m" "patterns" "empty_share"
+        "two_search_us" "bucketed_us" "ratio";
+      let rng = Random.State.make [| 4321 |] in
+      List.iter
+        (fun m ->
+          let pats = Q.patterns rng u ~m ~count:2000 in
+          let empty =
+            List.fold_left
+              (fun acc pattern ->
+                let want = Sa.range_two_search ~text ~sa ~pattern in
+                if Sa.range_in table ~text ~sa ~pattern <> want then
+                  failwith "abl_range: bucketed and two-search ranges differ";
+                if want = None then acc + 1 else acc)
+              0 pats
+          in
+          let two =
+            per_query (fun pattern -> Sa.range_two_search ~text ~sa ~pattern) pats
+          in
+          let bucketed =
+            per_query (fun pattern -> Sa.range_in table ~text ~sa ~pattern) pats
+          in
+          Printf.printf "%6d %10d %12.3f %14.3f %12.3f %7.2fx\n" m
+            (List.length pats)
+            (float_of_int empty /. float_of_int (List.length pats))
+            (two *. 1e6) (bucketed *. 1e6) (two /. bucketed))
+        [ 1; 2; 10; 14; 20; 28 ])
+
 let abl_range () =
   let n = if !fast then 5_000 else 20_000 in
   let u = dataset ~n ~theta:0.3 in
@@ -605,7 +656,8 @@ let abl_range () =
       Printf.printf "%10s %10.2f %12s %12.1f\n" name build_s
         (mb (G.size_words g))
         (q *. 1e6))
-    [ ("binary", Engine.Packed); ("fm", Engine.Succinct) ]
+    [ ("binary", Engine.Packed); ("fm", Engine.Succinct) ];
+  abl_range_step u
 
 let abl_persist () =
   let n = if !fast then 10_000 else 100_000 in
@@ -654,6 +706,27 @@ let host_json_fields () =
     "\"recommended_domains\": %d,\n  \"affinity_cores\": %d,\n  \
      \"raw_processor_count\": %d,\n  \"single_core\": %b,"
     d affinity raw (affinity <= 1)
+
+(* Which machine measured a latency row: hostname and CPU model (the
+   first "model name" of /proc/cpuinfo), so rows that different hosts
+   wrote into one file can be told apart. *)
+let host_label () =
+  let cpu =
+    try
+      In_channel.with_open_text "/proc/cpuinfo" (fun ic ->
+          let rec find () =
+            match In_channel.input_line ic with
+            | None -> "unknown cpu"
+            | Some l -> (
+                match String.index_opt l ':' with
+                | Some i when String.starts_with ~prefix:"model name" l ->
+                    String.trim (String.sub l (i + 1) (String.length l - i - 1))
+                | _ -> find ())
+          in
+          find ())
+    with Sys_error _ -> "unknown cpu"
+  in
+  Printf.sprintf "%s / %s" (Unix.gethostname ()) cpu
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -1039,11 +1112,13 @@ let space () =
        \"succinct_file_bytes\": %d, \"packed_words_per_position\": %.3f, \
        \"succinct_words_per_position\": %.3f, \"packed_open_s\": %.6f, \
        \"succinct_open_s\": %.6f, \"packed_query_us\": %.2f, \
-       \"succinct_query_us\": %.2f, \"succinct_latency_ratio\": %.3f}"
+       \"succinct_query_us\": %.2f, \"succinct_latency_ratio\": %.3f, \
+       \"host\": \"%s\"}"
       r.sp_n r.sp_text_len r.sp_build_s r.sp_succ_build_s r.sp_save_s
       r.sp_succ_save_s r.sp_packed_b r.sp_succ_b r.sp_wpp r.sp_succ_wpp
       r.sp_open_s r.sp_succ_open_s r.sp_q_us r.sp_succ_q_us
       (r.sp_succ_q_us /. r.sp_q_us)
+      (json_escape (host_label ()))
   in
   (* A run replaces the committed rows of the sizes it measured and
      keeps the others, one row per line as this harness writes them;
@@ -1090,15 +1165,18 @@ let space () =
            "space-latency frontier over the same dataset: both backends \
             store the same signature block RMQs (~4.1 bits/element/level) \
             in minimal-width PTI-ENGINE-4 sections; packed = suffix-array \
-            binary search, succinct = FM-index range search (adds the \
+            search inside a q-gram bucket (a table derived from the text \
+            at open, not stored), succinct = FM-index range search (adds the \
             BWT's wavelet tree). Both are mapped read-only with no rebuild \
             at open and verified to answer the whole workload \
             identically. words_per_position = file bytes / 8 / \
             transformed text length, the unit of the paper's Fig 9(c) \
             (~10.5 for the paper's index). query latencies are mean us per \
             query over the standard mixed-length workload on the reopened \
-            mmap engine, best of three passes. A run replaces the rows of \
-            the sizes it measured; history holds rows of earlier layouts.")
+            mmap engine, best of three passes; host names the machine \
+            (hostname / CPU model) that measured a row. A run replaces the \
+            rows of the sizes it measured; history holds rows of earlier \
+            layouts.")
         (String.concat ",\n" lines) history);
   Printf.printf "   wrote BENCH_SPACE.json\n"
 

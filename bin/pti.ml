@@ -23,6 +23,7 @@ module G = Pti_core.General_index
 module Si = Pti_core.Simple_index
 module A = Pti_core.Approx_index
 module L = Pti_core.Listing_index
+module Sa_search = Pti_suffix.Sa_search
 
 let read_lines path =
   let ic = open_in path in
@@ -56,8 +57,10 @@ let time f =
 
 (* User errors (τ < τ_min, bad pattern symbols, unknown kinds, corrupt
    files) exit 2 with a one-line message instead of cmdliner's
-   uncaught-exception backtrace. The server maps the same conditions to
-   typed error replies; the CLI maps them to an exit code. *)
+   uncaught-exception backtrace; a failed system call (a full disk, an
+   I/O error, an injected failpoint) exits 3 the same way. The server
+   maps the same conditions to typed error replies; the CLI maps them
+   to an exit code. *)
 let run_checked f =
   try f () with
   | Invalid_argument msg | Failure msg | Sys_error msg ->
@@ -66,6 +69,11 @@ let run_checked f =
   | Pti_storage.Corrupt { section; reason } ->
       Printf.eprintf "pti: corrupt index (section %s): %s\n" section reason;
       exit 2
+  | Unix.Unix_error (e, call, arg) ->
+      Printf.eprintf "pti: %s%s failed: %s\n" call
+        (if arg = "" then "" else " " ^ arg)
+        (Unix.error_message e);
+      exit 3
 
 (* ------------------------------------------------------------------ *)
 (* gen *)
@@ -278,7 +286,10 @@ let container_stats path =
        Printf.printf "backend:    %s  (%.2f words/position over %d positions)\n"
          backend
          (Pti_core.Space.words_per_position ~bytes:file_bytes ~positions:n)
-         n
+         n;
+       if backend = "packed" && S.Reader.has r "tr.text" then
+         Printf.printf "range:      q-gram buckets %s (derived at open, not stored)\n"
+           (Sa_search.Qgram.describe (Sa_search.Ba.qgram (S.Reader.ints r "tr.text")))
      end);
   Printf.printf "%-22s %-7s %5s %4s %12s %12s  %s\n" "name" "kind" "width"
     "bias" "bytes" "elems" "checksum";

@@ -20,6 +20,11 @@ let default_config = { ladder = Ladder_geometric; metric = Max }
    adds an FM index and searches backwards through it. *)
 type backend = Packed | Succinct
 
+(* The range search itself: the FM index of a succinct engine, or the
+   q-gram bucket table a packed engine derives from its text at build
+   and at open (never persisted). *)
+type range_search = Fm of Pti_succinct.Fm_index.t | Buckets of Sa_search.Qgram.t
+
 let backend_to_string = function Packed -> "packed" | Succinct -> "succinct"
 
 let backend_of_string = function
@@ -111,7 +116,7 @@ type t = {
   ladder_sizes : int array;
   ladder_rmq : Rmq_block.t array;
   ladder_max : S.floats array;
-  fm : Pti_succinct.Fm_index.t option;
+  search : range_search;
 }
 
 let ceil_log2 n =
@@ -296,10 +301,10 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
             !best))
       ladder_sizes
   in
-  let fm =
+  let search =
     match backend with
-    | Succinct -> Some (Pti_succinct.Fm_index.create ~sa text)
-    | Packed -> None
+    | Succinct -> Fm (Pti_succinct.Fm_index.create ~sa text)
+    | Packed -> Buckets (Sa_search.Ba.qgram text_s)
   in
   let dead = Array.map S.Bits.of_bytes dead in
   let stored = Array.map S.Floats.of_array stored in
@@ -340,7 +345,7 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
     ladder_sizes;
     ladder_rmq;
     ladder_max;
-    fm;
+    search;
   }
 
 let transform t = t.tr
@@ -363,9 +368,9 @@ let validate_pattern pattern =
     pattern
 
 let raw_range t pattern =
-  match t.fm with
-  | Some fm -> Pti_succinct.Fm_index.range fm ~pattern
-  | None -> Sa_search.Ba.range ~text:t.text ~sa:t.sa ~pattern
+  match t.search with
+  | Buckets tb -> Sa_search.Ba.range_in tb ~text:t.text ~sa:t.sa ~pattern
+  | Fm fm -> Pti_succinct.Fm_index.range fm ~pattern
 
 let suffix_range t ~pattern =
   validate_pattern pattern;
@@ -563,13 +568,13 @@ let size_words t =
   let ladder_words =
     Array.fold_left (fun acc a -> acc + S.Floats.length a) 0 t.ladder_max
   in
-  let fm_words =
-    match t.fm with
-    | None -> 0
-    | Some fm -> Pti_succinct.Fm_index.size_words fm
+  let search_words =
+    match t.search with
+    | Buckets tb -> Sa_search.Qgram.size_words tb
+    | Fm fm -> Pti_succinct.Fm_index.size_words fm
   in
   t.n (* sa *) + rmq_words + dead_words + stored_words + ladder_words
-  + fm_words + Transform.size_words t.tr
+  + search_words + Transform.size_words t.tr
 
 (* Byte-accurate accounting: packed views count at their packed width. *)
 let size_bytes t =
@@ -586,20 +591,23 @@ let size_bytes t =
   let ladder_bytes =
     Array.fold_left (fun acc a -> acc + S.Floats.byte_size a) 0 t.ladder_max
   in
-  let fm_bytes =
-    match t.fm with
-    | None -> 0
-    | Some fm -> Pti_succinct.Fm_index.size_bytes fm
+  let search_bytes =
+    match t.search with
+    | Buckets tb -> 8 * Sa_search.Qgram.size_words tb
+    | Fm fm -> Pti_succinct.Fm_index.size_bytes fm
   in
   S.Ints.byte_size t.sa + rmq_bytes + dead_bytes + stored_bytes
-  + ladder_bytes + fm_bytes + Transform.size_bytes t.tr
+  + ladder_bytes + search_bytes + Transform.size_bytes t.tr
 
 let stats t =
   Printf.sprintf
-    "engine: N=%d backend=%s levels=%d ladder=[%s] metric=%s size=%d words \
-     | %s"
+    "engine: N=%d backend=%s range=%s levels=%d ladder=[%s] metric=%s \
+     size=%d words | %s"
     t.n
     (backend_to_string t.backend)
+    (match t.search with
+    | Buckets tb -> "buckets(" ^ Sa_search.Qgram.describe tb ^ ")"
+    | Fm _ -> "fm")
     t.max_short
     (String.concat ","
        (Array.to_list (Array.map string_of_int t.ladder_sizes)))
@@ -659,9 +667,9 @@ let save_to_writer t w =
     (fun i r ->
       Rmq_block.save_parts w ~prefix:(Printf.sprintf "rmq.ladder.%d" (i + 1)) r)
     t.ladder_rmq;
-  match t.fm with
-  | None -> ()
-  | Some fm -> Pti_succinct.Fm_index.save_parts w ~prefix:"fm" fm
+  match t.search with
+  | Buckets _ -> ()
+  | Fm fm -> Pti_succinct.Fm_index.save_parts w ~prefix:"fm" fm
 
 let save ?extra t path =
   let w = S.Writer.create path in
@@ -742,10 +750,10 @@ let open_reader ~key_of_pos r =
           ~prefix:(Printf.sprintf "rmq.ladder.%d" (i + 1))
           ~value:(S.Floats.get ladder_max.(i)))
   in
-  let fm =
+  let search =
     match backend with
-    | Succinct -> Some (Pti_succinct.Fm_index.open_parts r ~prefix:"fm")
-    | Packed -> None
+    | Succinct -> Fm (Pti_succinct.Fm_index.open_parts r ~prefix:"fm")
+    | Packed -> Buckets (Sa_search.Ba.qgram text)
   in
   {
     tr;
@@ -763,7 +771,7 @@ let open_reader ~key_of_pos r =
     ladder_sizes;
     ladder_rmq;
     ladder_max;
-    fm;
+    search;
   }
 
 let load ?verify ~key_of_pos path =

@@ -53,8 +53,10 @@ val default_config : config
     step. *)
 type backend =
   | Packed
-      (** Suffix-array binary search over the stored text, O(m log N).
-          The smaller container. *)
+      (** Suffix-array binary search over the stored text, O(m log N),
+          inside the pattern's q-gram bucket
+          ({!Pti_suffix.Sa_search.Qgram}, derived from the text at build
+          and at open, never stored). The smaller container. *)
   | Succinct
       (** FM-index backward search, O(m log σ) without text access —
           the compressed-suffix-array role of §8.7. Adds the wavelet

@@ -4,7 +4,11 @@
 # trigger while a corpus churns through the CLI. Individual commands
 # are EXPECTED to fail under the storm — the invariant is that the
 # corpus never corrupts: once the faults are gone, the directory must
-# open, scrub clean, seal and compact with zero data errors.
+# open, scrub clean, seal and compact with zero data errors. The run
+# also fails unless the churn really ran under faults (at least one
+# insert and one flush succeeded) and every failed command exited
+# with a typed error (exit 3 on an injected I/O error), never an
+# uncaught exception.
 #
 #   scripts/fault_matrix.sh [SEED] [P] [ROUNDS]
 #
@@ -30,16 +34,24 @@ cleanup() { rm -rf "$DIR"; }
 trap cleanup EXIT INT TERM
 
 # One failpoint per fragile syscall family, each on its own seeded
-# stream so a run is reproducible from (SEED, P) alone.
-SPEC="storage.write:enospc@p:$PROB:$SEED"
-SPEC="$SPEC,storage.fsync:eintr@p:$PROB:$((SEED + 1))"
-SPEC="$SPEC,storage.rename:eio@p:$PROB:$((SEED + 2))"
-SPEC="$SPEC,wal.append:eio@p:$PROB:$((SEED + 3))"
-SPEC="$SPEC,wal.fsync:eio@p:$PROB:$((SEED + 4))"
-SPEC="$SPEC,wal.replay:eio@p:$PROB:$((SEED + 5))"
+# stream, re-seeded every round (R = SEED * 1000 + round) so that the
+# rounds draw different faults while a run stays reproducible from
+# (SEED, P) alone. With one seed for every round, each process drew
+# the same stream: the first wal.fsync fault left records in the log,
+# and from then on the same wal.replay draw failed every open, so no
+# later round reached insert, flush or compact. The wal.* failpoints
+# are hit once per record (an insert appends and fsyncs one record per
+# document, an open replays every logged record), so they fire at
+# P / 4 per record: a 20-document insert or a 20-record replay still
+# fails with probability about 5 * P.
+spec() {
+    R=$((SEED * 1000 + $1))
+    PW=$(awk "BEGIN { print $PROB / 4 }")
+    echo "storage.write:enospc@p:$PROB:$R,storage.fsync:eintr@p:$PROB:$((R + 1)),storage.rename:eio@p:$PROB:$((R + 2)),wal.append:eio@p:$PW:$((R + 3)),wal.fsync:eio@p:$PW:$((R + 4)),wal.replay:eio@p:$PW:$((R + 5))"
+}
 
 echo "fault-matrix: seed=$SEED p=$PROB rounds=$ROUNDS" | tee -a "$LOG"
-echo "fault-matrix: spec $SPEC" >> "$LOG"
+echo "fault-matrix: round 0 spec $(spec 0)" >> "$LOG"
 
 CORP="$DIR/corpus"
 "$PTI" gen --total 600 --theta 0.3 --seed "$SEED" --docs -o "$DIR/docs-a.txt" >> "$LOG" 2>&1
@@ -47,6 +59,9 @@ CORP="$DIR/corpus"
 "$PTI" corpus init "$CORP" --memtable-max 0 --wal-sync always >> "$LOG" 2>&1
 
 fails=0
+ok_insert=0
+ok_flush=0
+untyped=0
 i=0
 while [ "$i" -lt "$ROUNDS" ]; do
     case $((i % 5)) in
@@ -57,14 +72,26 @@ while [ "$i" -lt "$ROUNDS" ]; do
         4) cmd="compact";  set -- corpus compact "$CORP" ;;
     esac
     rc=0
-    PTI_FAILPOINTS="$SPEC" "$PTI" "$@" >> "$LOG" 2>&1 || rc=$?
+    PTI_FAILPOINTS="$(spec "$i")" "$PTI" "$@" >> "$LOG" 2>&1 || rc=$?
     if [ "$rc" -ne 0 ]; then
         fails=$((fails + 1))
         echo "fault-matrix: round $i ($cmd) rc=$rc (expected under faults)" >> "$LOG"
+        # 2/3 are pti's typed exits, 1 a refused delete; cmdliner's 125
+        # (or anything else) is an exception that escaped
+        case $rc in 1|2|3) ;; *) untyped=$((untyped + 1)) ;; esac
+    else
+        case $cmd in
+            insert-*) ok_insert=$((ok_insert + 1)) ;;
+            flush) ok_flush=$((ok_flush + 1)) ;;
+        esac
     fi
     i=$((i + 1))
 done
-echo "fault-matrix: $fails/$ROUNDS churn commands failed under injected faults" | tee -a "$LOG"
+echo "fault-matrix: $fails/$ROUNDS churn commands failed under injected faults ($ok_insert insert(s) and $ok_flush flush(es) succeeded)" | tee -a "$LOG"
+[ "$untyped" -eq 0 ] \
+    || { echo "fault-matrix: $untyped churn command(s) died without a typed error exit" | tee -a "$LOG" >&2; exit 1; }
+[ "$ok_insert" -ge 1 ] && [ "$ok_flush" -ge 1 ] \
+    || { echo "fault-matrix: churn never got an insert and a flush through under faults" | tee -a "$LOG" >&2; exit 1; }
 
 # The invariant, checked with the faults gone: a clean open sees a
 # coherent, undegraded corpus that scrubs and compacts cleanly.

@@ -963,11 +963,12 @@ let () =
       (try G.save g_new path with _ -> ());
       exit 9 (* only reached if the failpoint did not abort *)
 
-(* The pattern -> suffix-range step on a packed, memory-mapped engine
-   allocates nothing per probe: a served query pays for it on every
-   request. Each call may allocate a few words (the [Some (sp, ep)]
-   answer); the bound leaves room for those, not for a block per
-   binary-search step, which costs hundreds of words a call. *)
+(* The pattern -> suffix-range step allocates nothing per probe, on a
+   packed memory-mapped engine and on the heap-built one alike: a
+   served query pays for it on every request. Each call may allocate a
+   few words (the [Some (sp, ep)] answer); the bound leaves room for
+   those, not for a block per binary-search or gallop step or a boxed
+   table lookup, which cost hundreds of words a call. *)
 let test_suffix_range_allocation () =
   let rng = H.rng_of_seed 91 in
   let u = H.random_ustring rng 3000 4 3 in
@@ -988,12 +989,86 @@ let test_suffix_range_allocation () =
             (Engine.suffix_range (G.engine g) ~pattern)
             (Engine.suffix_range e ~pattern))
         patterns;
-      let w0 = Gc.minor_words () in
-      Array.iter (fun pattern -> ignore (Engine.suffix_range e ~pattern)) patterns;
-      let per_call = (Gc.minor_words () -. w0) /. float_of_int (Array.length patterns) in
-      Alcotest.(check bool)
-        (Printf.sprintf "%.1f minor words per suffix_range" per_call)
-        true (per_call <= 16.0))
+      List.iter
+        (fun (what, e) ->
+          let w0 = Gc.minor_words () in
+          Array.iter (fun pattern -> ignore (Engine.suffix_range e ~pattern)) patterns;
+          let per_call =
+            (Gc.minor_words () -. w0) /. float_of_int (Array.length patterns)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %.1f minor words per suffix_range" what per_call)
+            true (per_call <= 16.0))
+        [ ("mapped", e); ("heap", G.engine g) ])
+
+(* [Engine.suffix_range] of heap-built and mapped packed engines, both
+   running the bucketed search, against the restart-every-probe oracle
+   over the engine's own transformed text and suffix array. Uncertain
+   strings over 1–40 symbols, with codes above 255 in half the cases;
+   the transformed text separates its factors with separator runs.
+   Patterns: substrings of the text shorter than, as long as and longer
+   than q, perturbed ones, ones with a symbol the text lacks, and text
+   suffixes run past the text's end. *)
+let prop_engine_suffix_range =
+  QCheck2.Test.make ~name:"engine suffix_range = naive (qcheck)" ~count:20
+    QCheck2.Gen.(triple (int_range 1 40) bool int)
+    (fun (sigma, high, seed) ->
+      let module Sa_search = Pti_suffix.Sa_search in
+      let rng = Random.State.make [| seed |] in
+      let code i = if high then 250 + (7 * i) else 2 + i in
+      let sym () =
+        code (Stdlib.min (Random.State.int rng sigma) (Random.State.int rng sigma))
+      in
+      let u =
+        U.make
+          (Array.init (200 + Random.State.int rng 1200) (fun _ ->
+               let c = 1 + Random.State.int rng (Stdlib.min 3 sigma) in
+               let syms = ref [] in
+               while List.length !syms < c do
+                 let s = sym () in
+                 if not (List.mem s !syms) then syms := s :: !syms
+               done;
+               Array.of_list
+                 (List.map (fun s -> { U.sym = s; prob = 1.0 /. float_of_int c }) !syms)))
+      in
+      let g = G.build ~tau_min:0.1 u in
+      with_tmp (fun path ->
+          G.save g path;
+          let gm = G.load path in
+          let text = Pti_transform.Transform.text (G.transform g) in
+          let sa = Pti_suffix.Sais.suffix_array text in
+          let n = Array.length text in
+          let q = Sa_search.Qgram.q (Sa_search.Heap.qgram text) in
+          let sub m =
+            let m = Stdlib.min m n in
+            Array.sub text (Random.State.int rng (n - m + 1)) m
+          in
+          let pats = ref [] in
+          let add p = pats := p :: !pats in
+          List.iter
+            (fun m ->
+              for _ = 1 to 4 do
+                add (sub m);
+                let p = sub m in
+                p.(Array.length p - 1) <- sym ();
+                add p;
+                let p = sub m in
+                p.(Random.State.int rng (Array.length p)) <- code sigma;
+                add p
+              done)
+            [ 1; 2; Stdlib.max 1 (q - 1); q; q + 1; q + 3; 12; 25 ];
+          add (Array.append (Array.sub text (n - 2) 2) [| sym () |]);
+          add (Array.append (sub (1 + Random.State.int rng 30)) [| sym (); sym () |]);
+          let valid p =
+            Array.length p > 0
+            && not (Array.exists (fun s -> s = Pti_ustring.Sym.separator) p)
+          in
+          List.for_all
+            (fun pattern ->
+              let want = Sa_search.range_naive ~text ~sa ~pattern in
+              Engine.suffix_range (G.engine g) ~pattern = want
+              && Engine.suffix_range (G.engine gm) ~pattern = want)
+            (List.filter valid !pats)))
 
 let () =
   Alcotest.run "pti_storage"
@@ -1020,6 +1095,7 @@ let () =
             test_packed_resave;
           Alcotest.test_case "suffix_range allocation-free" `Quick
             test_suffix_range_allocation;
+          QCheck_alcotest.to_alcotest prop_engine_suffix_range;
         ] );
       ( "corruption",
         [

@@ -130,11 +130,36 @@ let test_search_edges () =
   Alcotest.(check int) "abra occurs twice" 2
     (Sa_search.count ~text ~sa ~pattern:(of_string "abra"))
 
+(* The bucket tables a test runs a text's searches through: the rule's
+   q, and every forced q up to 4 whose table stays small. *)
+let tables text =
+  let rule = Sa_search.Heap.qgram text in
+  rule
+  :: List.filter_map
+       (fun q ->
+         let tb = Sa_search.Heap.qgram ~q text in
+         if Sa_search.Qgram.q tb = q && Sa_search.Qgram.cells tb <= 100_000 then
+           Some tb
+         else None)
+       (List.filter (fun q -> q <> Sa_search.Qgram.q rule) [ 0; 1; 2; 3; 4 ])
+
+(* Every search on offer agrees with the oracle: without a table, the
+   two-search order, and bucketed at each of [tables]. *)
+let searches_agree ~text ~sa ~tables pat =
+  let want = Sa_search.range_naive ~text ~sa ~pattern:pat in
+  Sa_search.range ~text ~sa ~pattern:pat = want
+  && Sa_search.Heap.range_two_search ~text ~sa ~pattern:pat = want
+  && List.for_all
+       (fun tb -> Sa_search.Heap.range_in tb ~text ~sa ~pattern:pat = want)
+       tables
+
 (* The Manber–Myers accelerated search against the restart-every-probe
    oracle on adversarially repetitive texts — the inputs where the lcp
    bookkeeping actually kicks in (long shared prefixes between the
    pattern and both fences) and where an off-by-one in the resume
-   offset would misplace a boundary. *)
+   offset would misplace a boundary — through every bucket table too:
+   a unary text puts every suffix in one chain of cells, and a
+   Fibonacci or abab... text fills only a few. *)
 let test_search_manber_myers_adversarial () =
   let fib k =
     let rec go a b k = if k = 0 then a else go (a ^ b) a (k - 1) in
@@ -155,10 +180,10 @@ let test_search_manber_myers_adversarial () =
     (fun text ->
       let n = Array.length text in
       let sa = Sais.suffix_array text in
+      let tables = tables text in
       let check pat =
         Alcotest.(check bool) "manber-myers = naive" true
-          (Sa_search.range ~text ~sa ~pattern:pat
-          = Sa_search.range_naive ~text ~sa ~pattern:pat)
+          (searches_agree ~text ~sa ~tables pat)
       in
       (* substrings of all lengths, including near-full-text *)
       List.iter
@@ -315,6 +340,93 @@ let test_lca_on_suffix_tree () =
     done
   done
 
+(* Random texts with separator runs, alphabets of 1–40 symbols (codes
+   above 255 in half the cases), against the oracle through every
+   search and table, heap arrays and storage views alike. Patterns:
+   substrings shorter than, as long as and longer than q, substrings
+   perturbed near their end, symbols absent from the text (at the
+   front, past q, non-positive and huge codes), a separator, and text
+   suffixes run past the text's end. *)
+let prop_bucketed_search =
+  QCheck2.Test.make ~name:"bucketed range = naive (qcheck)" ~count:150
+    QCheck2.Gen.(quad (int_range 1 40) bool (int_range 1 700) int)
+    (fun (sigma, high, n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let code i = if high then 250 + (7 * i) else 2 + i in
+      (* skewed draws, so short substrings repeat *)
+      let sym () =
+        code (Stdlib.min (Random.State.int rng sigma) (Random.State.int rng sigma))
+      in
+      let text = Array.make n 0 in
+      let i = ref 0 in
+      while !i < n do
+        if Random.State.int rng 10 = 0 then begin
+          let run = 1 + Random.State.int rng 3 in
+          for j = !i to Stdlib.min n (!i + run) - 1 do
+            text.(j) <- Pti_ustring.Sym.separator
+          done;
+          i := !i + run
+        end
+        else begin
+          text.(!i) <- sym ();
+          incr i
+        end
+      done;
+      let sa = Sais.suffix_array text in
+      let tables = tables text in
+      let q = Sa_search.Qgram.q (List.hd tables) in
+      let sub m =
+        let m = Stdlib.min m n in
+        Array.sub text (Random.State.int rng (n - m + 1)) m
+      in
+      let absent = [| code sigma; 0; -3; max_int; 3 |] in
+      let pats = ref [] in
+      let add p = pats := p :: !pats in
+      List.iter
+        (fun m ->
+          if m >= 1 then
+            for _ = 1 to 3 do
+              add (sub m);
+              let p = sub m in
+              let len = Array.length p in
+              p.(len - 1 - Random.State.int rng (Stdlib.min len 2)) <- sym ();
+              add p;
+              let p = sub m in
+              p.(Random.State.int rng (Array.length p)) <-
+                absent.(Random.State.int rng (Array.length absent));
+              add p
+            done)
+        [ 1; 2; q - 1; q; q + 1; q + 2; 2 * q + 3; 20 ];
+      add [| Pti_ustring.Sym.separator |];
+      add (Array.append (sub (Random.State.int rng n + 1)) [| sym () |]);
+      add (Array.append (Array.sub text (n - Stdlib.min n 3) (Stdlib.min n 3)) [| sym () |]);
+      add (Array.append text [| sym () |]);
+      let module S = Pti_storage in
+      let text_ba = S.Ints.of_array text and sa_ba = S.Ints.of_array sa in
+      let ba_table = Sa_search.Ba.qgram text_ba in
+      List.for_all
+        (fun pat ->
+          searches_agree ~text ~sa ~tables pat
+          && Sa_search.Ba.range_in ba_table ~text:text_ba ~sa:sa_ba ~pattern:pat
+             = Sa_search.range_naive ~text ~sa ~pattern:pat)
+        !pats)
+
+let test_qgram_rule () =
+  (* (used + 1)^q <= n / 8: 24 symbols in use at n = 180 289 give q = 3 *)
+  let text = Array.init 180_289 (fun i -> 2 + (i * 7919 mod 24)) in
+  let tb = Sa_search.Heap.qgram text in
+  Alcotest.(check int) "q" 3 (Sa_search.Qgram.q tb);
+  Alcotest.(check int) "cells" (25 * 25 * 25) (Sa_search.Qgram.cells tb);
+  Alcotest.(check int) "short text: one bucket" 0
+    (Sa_search.Qgram.q (Sa_search.Heap.qgram (of_string "banana")));
+  Alcotest.(check int) "symbol beyond the remap: one bucket" 0
+    (Sa_search.Qgram.q
+       (Sa_search.Heap.qgram (Array.init 4000 (fun i -> if i = 7 then 1 lsl 20 else 2 + (i mod 3)))));
+  let tb = Sa_search.Heap.qgram ~q:2 (of_string "abab") in
+  (* cells over a, b with digit 0: ab (x2), b$ (the last b), ba *)
+  Alcotest.(check int) "forced q cells" 9 (Sa_search.Qgram.cells tb);
+  Alcotest.(check int) "nonempty cells" 3 (Sa_search.Qgram.nonempty tb)
+
 let prop_sais =
   QCheck2.Test.make ~name:"sais = doubling (qcheck)" ~count:300
     QCheck2.Gen.(
@@ -345,6 +457,8 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_search_edges;
           Alcotest.test_case "manber-myers on repetitive texts" `Quick
             test_search_manber_myers_adversarial;
+          Alcotest.test_case "q-gram rule" `Quick test_qgram_rule;
+          QCheck_alcotest.to_alcotest prop_bucketed_search;
         ] );
       ( "suffix_tree",
         [
