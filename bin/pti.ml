@@ -23,7 +23,6 @@ module G = Pti_core.General_index
 module Si = Pti_core.Simple_index
 module A = Pti_core.Approx_index
 module L = Pti_core.Listing_index
-module Sa_search = Pti_suffix.Sa_search
 
 let read_lines path =
   let ic = open_in path in
@@ -287,9 +286,11 @@ let container_stats path =
          backend
          (Pti_core.Space.words_per_position ~bytes:file_bytes ~positions:n)
          n;
-       if backend = "packed" && S.Reader.has r "tr.text" then
-         Printf.printf "range:      q-gram buckets %s (derived at open, not stored)\n"
-           (Sa_search.Qgram.describe (Sa_search.Ba.qgram (S.Reader.ints r "tr.text")))
+       if S.Ints.get meta 2 = 0 || S.Ints.get meta 2 = 1 then
+         Printf.printf "range:      %s\n"
+           (try Pti_core.Engine.describe_range_search r
+            with S.Corrupt { section; _ } ->
+              Printf.sprintf "unavailable (corrupt section %s)" section)
      end);
   Printf.printf "%-22s %-7s %5s %4s %12s %12s  %s\n" "name" "kind" "width"
     "bias" "bytes" "elems" "checksum";

@@ -25,6 +25,12 @@ type backend = Packed | Succinct
    and at open (never persisted). *)
 type range_search = Fm of Pti_succinct.Fm_index.t | Buckets of Sa_search.Qgram.t
 
+let buckets text = Buckets (Sa_search.Ba.qgram text)
+
+let describe_search = function
+  | Buckets tb -> "buckets(" ^ Sa_search.Qgram.describe tb ^ ")"
+  | Fm _ -> "fm"
+
 let backend_to_string = function Packed -> "packed" | Succinct -> "succinct"
 
 let backend_of_string = function
@@ -304,7 +310,7 @@ let build ?(config = default_config) ?(backend = Packed) ?domains ~key_of_pos
   let search =
     match backend with
     | Succinct -> Fm (Pti_succinct.Fm_index.create ~sa text)
-    | Packed -> Buckets (Sa_search.Ba.qgram text_s)
+    | Packed -> buckets text_s
   in
   let dead = Array.map S.Bits.of_bytes dead in
   let stored = Array.map S.Floats.of_array stored in
@@ -605,9 +611,7 @@ let stats t =
      size=%d words | %s"
     t.n
     (backend_to_string t.backend)
-    (match t.search with
-    | Buckets tb -> "buckets(" ^ Sa_search.Qgram.describe tb ^ ")"
-    | Fm _ -> "fm")
+    (describe_search t.search)
     t.max_short
     (String.concat ","
        (Array.to_list (Array.map string_of_int t.ladder_sizes)))
@@ -677,6 +681,23 @@ let save ?extra t path =
   (match extra with None -> () | Some f -> f w);
   S.Writer.close w
 
+(* Tag [i] of an engine's "meta" section, checked to lie in [0, n). *)
+let meta_tag meta i what n =
+  let fail reason = raise (S.Corrupt { section = "meta"; reason }) in
+  if S.Ints.length meta <> 5 then fail "engine meta has wrong arity";
+  let k = S.Ints.get meta i in
+  if k < 0 || k >= n then fail (Printf.sprintf "unknown %s tag %d" what k);
+  k
+
+let backend_of_meta meta = [| Packed; Succinct |].(meta_tag meta 2 "backend" 2)
+
+let describe_range_search r =
+  match backend_of_meta (S.Reader.ints r "meta") with
+  | Succinct -> "fm (stored)"
+  | Packed ->
+      describe_search (buckets (Transform.text_storage (Transform.open_parts r)))
+      ^ " (derived at open, not stored)"
+
 let open_reader ~key_of_pos r =
   (* Layouts this code no longer reads are refused before anything else
      is decoded. A "cfg" section is the marshalled config record of
@@ -687,15 +708,9 @@ let open_reader ~key_of_pos r =
   let meta = S.Reader.ints r "meta" in
   if S.Ints.length meta = 2 then S.retired "meta" "a pre-backend engine";
   if S.Reader.has r "cfg" then S.retired "cfg" "an engine with a marshalled config";
-  let fail reason = raise (S.Corrupt { section = "meta"; reason }) in
-  if S.Ints.length meta <> 5 then fail "engine meta has wrong arity";
-  let tag i what n =
-    let k = S.Ints.get meta i in
-    if k < 0 || k >= n then fail (Printf.sprintf "unknown %s tag %d" what k);
-    k
-  in
+  let backend = backend_of_meta meta in
+  let tag = meta_tag meta in
   let n = S.Ints.get meta 0 and max_short = S.Ints.get meta 1 in
-  let backend = [| Packed; Succinct |].(tag 2 "backend" 2) in
   let cfg =
     {
       ladder = [| Ladder_geometric; Ladder_full; Ladder_none |].(tag 3 "ladder" 3);
@@ -753,7 +768,7 @@ let open_reader ~key_of_pos r =
   let search =
     match backend with
     | Succinct -> Fm (Pti_succinct.Fm_index.open_parts r ~prefix:"fm")
-    | Packed -> Buckets (Sa_search.Ba.qgram text)
+    | Packed -> buckets text
   in
   {
     tr;

@@ -169,6 +169,14 @@ val size_bytes : t -> int
 
 val stats : t -> string
 
+val describe_range_search : Pti_storage.Reader.t -> string
+(** The range search an engine opened from this container runs, without
+    opening the rest of it: ["fm (stored)"] for a succinct container;
+    for a packed one, the q-gram bucket table {!load} derives from the
+    stored text (["buckets(q=3 cells=15625 nonempty=9686) (derived at
+    open, not stored)"]). Raises [Pti_storage.Corrupt] on a malformed
+    "meta" or transform section. *)
+
 (** {2 Persistence}
 
     An engine saves into a {!Pti_storage} container ("PTI-ENGINE-4"):

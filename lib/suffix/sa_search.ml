@@ -92,7 +92,7 @@ module Qgram = struct
       go 0 1
     end
 
-  let create ?q ~n ~get () =
+  let create ~n ~get =
     (* the symbols in use, marked in one pass *)
     let seen = Bytes.make (max_symbol + 1) '\000' in
     let hi = ref 0 and ok = ref true in
@@ -117,15 +117,7 @@ module Qgram = struct
       end
     in
     let base = 1 + Array.fold_left Stdlib.max 0 rank in
-    let q =
-      match q with
-      | _ when Array.length rank = 0 -> 0
-      | None -> choose_q ~n ~base
-      | Some q ->
-          if q < 0 || float_of_int base ** float_of_int q > 1e7 then
-            invalid_arg "Sa_search.Qgram.create: q out of range";
-          q
-    in
+    let q = if Array.length rank = 0 then 0 else choose_q ~n ~base in
     let pow = Array.make (q + 1) 1 in
     for j = 1 to q do
       pow.(j) <- pow.(j - 1) * base
@@ -166,7 +158,7 @@ module type S = sig
   type sa
 
   val range : text:text -> sa:sa -> pattern:int array -> (int * int) option
-  val qgram : ?q:int -> text -> Qgram.t
+  val qgram : text -> Qgram.t
 
   val range_in :
     Qgram.t -> text:text -> sa:sa -> pattern:int array -> (int * int) option
@@ -267,8 +259,7 @@ module Make (Text : ARR) (Sa : ARR) = struct
     else if Array.length pattern = 0 then Some (0, n - 1)
     else search_in ~text ~sa ~pattern ~b0:0 ~b1:n ~lcp0:0
 
-  let qgram ?q text =
-    Qgram.create ?q ~n:(Text.length text) ~get:(Text.get text) ()
+  let qgram text = Qgram.create ~n:(Text.length text) ~get:(Text.get text)
 
   (* The pattern's first min(m, q) symbols pick a run of cells: one cell
      when m >= q, all cells that extend the pattern when m < q. A symbol
@@ -302,7 +293,8 @@ module Make (Text : ARR) (Sa : ARR) = struct
       end
     end
 
-  (* Two full binary searches, then the occurrence check. *)
+  (* Two full binary searches, then the occurrence check: the order the
+     search had before, kept as [bench abl_range]'s baseline. *)
   let range_two_search ~text ~sa ~pattern =
     let n = Sa.length sa in
     if n = 0 then None

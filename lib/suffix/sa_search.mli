@@ -70,10 +70,8 @@ module type S = sig
   val range : text:text -> sa:sa -> pattern:int array -> (int * int) option
   (** The search without a table (one bucket). *)
 
-  val qgram : ?q:int -> text -> Qgram.t
-  (** The bucket table of a text, q chosen by the rule above unless
-      given. Raises [Invalid_argument] when the given q would need more
-      than 10^7 cells. *)
+  val qgram : text -> Qgram.t
+  (** The bucket table of a text, q chosen by the rule above. *)
 
   val range_in :
     Qgram.t -> text:text -> sa:sa -> pattern:int array -> (int * int) option
@@ -88,7 +86,9 @@ module type S = sig
     text:text -> sa:sa -> pattern:int array -> (int * int) option
   (** The search before the reject-and-gallop order: two full
       Manber–Myers boundary searches over all n slots, then the
-      occurrence check. Same answers; kept for [bench abl_range]. *)
+      occurrence check. Same answers. It is the baseline
+      [bench abl_range] measures the other searches against; serve
+      queries with {!range} or {!range_in}. *)
 
   val count : text:text -> sa:sa -> pattern:int array -> int
 end

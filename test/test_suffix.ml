@@ -130,81 +130,83 @@ let test_search_edges () =
   Alcotest.(check int) "abra occurs twice" 2
     (Sa_search.count ~text ~sa ~pattern:(of_string "abra"))
 
-(* The bucket tables a test runs a text's searches through: the rule's
-   q, and every forced q up to 4 whose table stays small. *)
-let tables text =
-  let rule = Sa_search.Heap.qgram text in
-  rule
-  :: List.filter_map
-       (fun q ->
-         let tb = Sa_search.Heap.qgram ~q text in
-         if Sa_search.Qgram.q tb = q && Sa_search.Qgram.cells tb <= 100_000 then
-           Some tb
-         else None)
-       (List.filter (fun q -> q <> Sa_search.Qgram.q rule) [ 0; 1; 2; 3; 4 ])
-
 (* Every search on offer agrees with the oracle: without a table, the
-   two-search order, and bucketed at each of [tables]. *)
-let searches_agree ~text ~sa ~tables pat =
+   two-search order, and bucketed at the rule's q. *)
+let searches_agree ~text ~sa ~table pat =
   let want = Sa_search.range_naive ~text ~sa ~pattern:pat in
   Sa_search.range ~text ~sa ~pattern:pat = want
   && Sa_search.Heap.range_two_search ~text ~sa ~pattern:pat = want
-  && List.for_all
-       (fun tb -> Sa_search.Heap.range_in tb ~text ~sa ~pattern:pat = want)
-       tables
+  && Sa_search.Heap.range_in table ~text ~sa ~pattern:pat = want
+
+(* The shortest text at which the q rule picks [q] when [base - 1]
+   symbols are in use: base^q <= n / 8. *)
+let length_for_q ~base q =
+  let rec pow k = if k = 0 then 1 else base * pow (k - 1) in
+  8 * pow q
 
 (* The Manber–Myers accelerated search against the restart-every-probe
    oracle on adversarially repetitive texts — the inputs where the lcp
    bookkeeping actually kicks in (long shared prefixes between the
    pattern and both fences) and where an off-by-one in the resume
-   offset would misplace a boundary — through every bucket table too:
+   offset would misplace a boundary — through the bucket table too:
    a unary text puts every suffix in one chain of cells, and a
-   Fibonacci or abab... text fills only a few. *)
+   Fibonacci or abab... text fills only a few. Each text is run at the
+   lengths where the rule picks q = 0, 1, 2, 3 and 4, and at 400. *)
 let test_search_manber_myers_adversarial () =
   let fib k =
     let rec go a b k = if k = 0 then a else go (a ^ b) a (k - 1) in
     go "a" "b" k
   in
+  let fib_text = of_string (fib 16) in
+  (* (symbols in use + 1, the text of length n) *)
   let texts =
     [
-      Array.make 400 1 (* unary: every suffix prefixes every longer one *);
-      Array.init 400 (fun i -> 1 + (i / 100)) (* aaa...bbb...ccc...ddd *);
-      Array.init 400 (fun i -> 1 + (i mod 2)) (* ababab... *);
-      Array.init 401 (fun i -> if i = 400 then 3 else 1 + (i mod 2));
-      of_string (fib 12) (* fibonacci word: maximal repetitiveness *);
-      Array.init 300 (fun i -> 1 + (i mod 3)) (* abcabc... *);
+      (2, fun n -> Array.make n 1) (* unary: every suffix prefixes every longer one *);
+      (5, fun n -> Array.init n (fun i -> 1 + (i * 4 / n))) (* aaa...bbb...ccc...ddd *);
+      (3, fun n -> Array.init n (fun i -> 1 + (i mod 2))) (* ababab... *);
+      (4, fun n -> Array.init n (fun i -> if i = n - 1 then 3 else 1 + (i mod 2)));
+      (3, fun n -> Array.sub fib_text 0 n) (* fibonacci word: maximal repetitiveness *);
+      (4, fun n -> Array.init n (fun i -> 1 + (i mod 3))) (* abcabc... *);
     ]
   in
   let rng = Random.State.make [| 15 |] in
   List.iter
-    (fun text ->
-      let n = Array.length text in
-      let sa = Sais.suffix_array text in
-      let tables = tables text in
-      let check pat =
-        Alcotest.(check bool) "manber-myers = naive" true
-          (searches_agree ~text ~sa ~tables pat)
-      in
-      (* substrings of all lengths, including near-full-text *)
+    (fun (base, gen) ->
       List.iter
-        (fun m ->
-          for _ = 1 to 20 do
+        (fun (n, q) ->
+          let text = gen n in
+          let sa = Sais.suffix_array text in
+          let table = Sa_search.Heap.qgram text in
+          Option.iter
+            (fun q ->
+              Alcotest.(check int) (Printf.sprintf "q at n = %d" n) q
+                (Sa_search.Qgram.q table))
+            q;
+          let check pat =
+            Alcotest.(check bool) "manber-myers = naive" true
+              (searches_agree ~text ~sa ~table pat)
+          in
+          (* substrings of all lengths, including near-full-text *)
+          List.iter
+            (fun m ->
+              for _ = 1 to 20 do
+                let start = Random.State.int rng (n - m + 1) in
+                check (Array.sub text start m)
+              done)
+            (List.filter (fun m -> m <= n) [ 1; 2; 3; 4; 5; 7; n / 2; n - 1; n ]);
+          (* perturbed substrings: match a long prefix, then diverge *)
+          for _ = 1 to 60 do
+            let m = 2 + Random.State.int rng (Stdlib.min n 60 - 1) in
             let start = Random.State.int rng (n - m + 1) in
-            check (Array.sub text start m)
-          done)
-        (List.filter (fun m -> m <= n) [ 1; 2; 3; 7; n / 2; n - 1; n ]);
-      (* perturbed substrings: match a long prefix, then diverge *)
-      for _ = 1 to 60 do
-        let m = 2 + Random.State.int rng (Stdlib.min n 60 - 1) in
-        let start = Random.State.int rng (n - m + 1) in
-        let pat = Array.sub text start m in
-        pat.(m - 1 - Random.State.int rng (Stdlib.min m 3)) <-
-          1 + Random.State.int rng 4;
-        check pat
-      done;
-      (* pattern = text extended past the end *)
-      check (Array.append text [| 1 |]);
-      check (Array.append text [| 9 |]))
+            let pat = Array.sub text start m in
+            pat.(m - 1 - Random.State.int rng (Stdlib.min m 3)) <-
+              1 + Random.State.int rng 4;
+            check pat
+          done;
+          (* pattern = text extended past the end *)
+          check (Array.append text [| 1 |]);
+          check (Array.append text [| 9 |]))
+        ((400, None) :: List.init 5 (fun q -> (length_for_q ~base q, Some q))))
     texts
 
 (* Suffix tree invariants checked on random strings:
@@ -342,21 +344,38 @@ let test_lca_on_suffix_tree () =
 
 (* Random texts with separator runs, alphabets of 1–40 symbols (codes
    above 255 in half the cases), against the oracle through every
-   search and table, heap arrays and storage views alike. Patterns:
+   search, heap arrays and storage views alike. The text's length is
+   drawn from the band where the rule picks a drawn q of 0–4 (the
+   largest that fits in 3 000 symbols), taking the base as every
+   symbol plus the separator in use; alphabets of at most 3 symbols
+   are drawn half the time, so q = 3 and 4 come up. Patterns:
    substrings shorter than, as long as and longer than q, substrings
    perturbed near their end, symbols absent from the text (at the
    front, past q, non-positive and huge codes), a separator, and text
    suffixes run past the text's end. *)
 let prop_bucketed_search =
   QCheck2.Test.make ~name:"bucketed range = naive (qcheck)" ~count:150
-    QCheck2.Gen.(quad (int_range 1 40) bool (int_range 1 700) int)
-    (fun (sigma, high, n, seed) ->
+    QCheck2.Gen.(
+      quad
+        (oneof [ int_range 1 3; int_range 1 40 ])
+        bool
+        (pair (int_range 0 4) (float_bound_inclusive 1.0))
+        int)
+    (fun (sigma, high, (q_want, frac), seed) ->
       let rng = Random.State.make [| seed |] in
       let code i = if high then 250 + (7 * i) else 2 + i in
       (* skewed draws, so short substrings repeat *)
       let sym () =
         code (Stdlib.min (Random.State.int rng sigma) (Random.State.int rng sigma))
       in
+      let cap = 3000 and base = sigma + 2 in
+      let rec fit q =
+        if q > 0 && length_for_q ~base q > cap then fit (q - 1) else q
+      in
+      let q0 = fit q_want in
+      let lo = if q0 = 0 then 1 else length_for_q ~base q0 in
+      let hi = Stdlib.min cap (length_for_q ~base (q0 + 1) - 1) in
+      let n = lo + int_of_float (frac *. float_of_int (hi - lo)) in
       let text = Array.make n 0 in
       let i = ref 0 in
       while !i < n do
@@ -373,8 +392,8 @@ let prop_bucketed_search =
         end
       done;
       let sa = Sais.suffix_array text in
-      let tables = tables text in
-      let q = Sa_search.Qgram.q (List.hd tables) in
+      let table = Sa_search.Heap.qgram text in
+      let q = Sa_search.Qgram.q table in
       let sub m =
         let m = Stdlib.min m n in
         Array.sub text (Random.State.int rng (n - m + 1)) m
@@ -406,7 +425,7 @@ let prop_bucketed_search =
       let ba_table = Sa_search.Ba.qgram text_ba in
       List.for_all
         (fun pat ->
-          searches_agree ~text ~sa ~tables pat
+          searches_agree ~text ~sa ~table pat
           && Sa_search.Ba.range_in ba_table ~text:text_ba ~sa:sa_ba ~pattern:pat
              = Sa_search.range_naive ~text ~sa ~pattern:pat)
         !pats)
@@ -417,14 +436,21 @@ let test_qgram_rule () =
   let tb = Sa_search.Heap.qgram text in
   Alcotest.(check int) "q" 3 (Sa_search.Qgram.q tb);
   Alcotest.(check int) "cells" (25 * 25 * 25) (Sa_search.Qgram.cells tb);
+  (* two symbols in use (base 3): q steps up at n = 24, 72, 216, 648 *)
+  let abab n = Array.init n (fun i -> 1 + (i mod 2)) in
+  List.iter
+    (fun (n, q) ->
+      Alcotest.(check int) (Printf.sprintf "q at n = %d" n) q
+        (Sa_search.Qgram.q (Sa_search.Heap.qgram (abab n))))
+    [ (23, 0); (24, 1); (71, 1); (72, 2); (215, 2); (216, 3); (647, 3); (648, 4) ];
   Alcotest.(check int) "short text: one bucket" 0
     (Sa_search.Qgram.q (Sa_search.Heap.qgram (of_string "banana")));
   Alcotest.(check int) "symbol beyond the remap: one bucket" 0
     (Sa_search.Qgram.q
        (Sa_search.Heap.qgram (Array.init 4000 (fun i -> if i = 7 then 1 lsl 20 else 2 + (i mod 3)))));
-  let tb = Sa_search.Heap.qgram ~q:2 (of_string "abab") in
-  (* cells over a, b with digit 0: ab (x2), b$ (the last b), ba *)
-  Alcotest.(check int) "forced q cells" 9 (Sa_search.Qgram.cells tb);
+  let tb = Sa_search.Heap.qgram (abab 72) in
+  (* q = 2, cells over a, b with digit 0: ab (x36), ba (x35), b$ (the last b) *)
+  Alcotest.(check int) "cells" 9 (Sa_search.Qgram.cells tb);
   Alcotest.(check int) "nonempty cells" 3 (Sa_search.Qgram.nonempty tb)
 
 let prop_sais =
